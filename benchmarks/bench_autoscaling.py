@@ -38,7 +38,7 @@ from benchmarks.conftest import write_result
 from repro.core.autoscaling import SloScaler, StepScaler
 from repro.core.fleet import CameraSpec
 from repro.eval import format_table, run_fleet
-from repro.network.link import LinkConfig, SharedLink
+from repro.network.link import LinkConfig
 from repro.video import build_dataset
 
 STEADY_FRAMES = env_int("REPRO_BENCH_AUTOSCALE_FRAMES", 720)
@@ -127,7 +127,7 @@ def test_autoscaling(benchmark, student, settings, results_dir):
                 build_cameras(),
                 student,
                 settings=settings,
-                link=SharedLink(LinkConfig()),
+                link_config=LinkConfig(),
                 placement=PLACEMENT,
                 **kwargs,
             )

@@ -36,7 +36,7 @@ from benchmarks._common import env_int, env_int_list
 from benchmarks.conftest import write_result
 from repro.core.fleet import CameraSpec
 from repro.eval import format_table, run_fleet
-from repro.network.link import LinkConfig, SharedLink
+from repro.network.link import LinkConfig
 from repro.video import build_dataset
 
 GPU_COUNTS = env_int_list("REPRO_BENCH_SHARD_GPUS", "1,2,4")
@@ -78,7 +78,7 @@ def test_cloud_sharding(benchmark, student, settings, results_dir):
                     cameras,
                     student,
                     settings=settings,
-                    link=SharedLink(LinkConfig()),
+                    link_config=LinkConfig(),
                     num_gpus=gpus,
                     placement=PLACEMENT,
                 )

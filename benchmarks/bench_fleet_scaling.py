@@ -29,7 +29,7 @@ from benchmarks._common import env_int, env_int_list
 from benchmarks.conftest import write_result
 from repro.core.fleet import CameraSpec
 from repro.eval import format_table, run_fleet
-from repro.network.link import LinkConfig, SharedLink
+from repro.network.link import LinkConfig
 from repro.video import build_dataset
 
 #: overridable so the CI smoke job can run a tiny configuration
@@ -65,7 +65,7 @@ def test_fleet_scaling(benchmark, student, settings, results_dir):
                 build_cameras(n, FLEET_FRAMES),
                 student,
                 settings=settings,
-                link=SharedLink(LinkConfig()),
+                link_config=LinkConfig(),
             )
             rows.append(outcome.row())
         return rows

@@ -38,7 +38,7 @@ from benchmarks.conftest import write_result
 from repro.core.fleet import CameraSpec
 from repro.core.scheduling import AdmissionControlScheduler, build_scheduler
 from repro.eval import format_table, run_fleet
-from repro.network.link import LinkConfig, SharedLink
+from repro.network.link import LinkConfig
 from repro.video import build_dataset
 
 FLEET_SIZES = env_int_list("REPRO_BENCH_FLEET_SIZES", "4,8")
@@ -83,7 +83,7 @@ def test_scheduler_policies(benchmark, student, settings, results_dir):
                     build_cameras(n, SCHED_FRAMES),
                     student,
                     settings=settings,
-                    link=SharedLink(LinkConfig()),
+                    link_config=LinkConfig(),
                     scheduler=make_scheduler(policy),
                 )
         return outcomes

@@ -53,7 +53,7 @@ from repro.core.fleet import CameraSpec
 from repro.core.scheduling import WorkerSpec
 from repro.eval import format_table, run_fleet
 from repro.eval.results import append_bench_run
-from repro.network.link import LinkConfig, SharedLink
+from repro.network.link import LinkConfig
 from repro.video import build_dataset
 
 BENCH_JSON = bench_json_path("serving")
@@ -121,7 +121,7 @@ def test_serving_throughput(benchmark, student, settings, results_dir):
                     cameras,
                     student,
                     settings=settings,
-                    link=SharedLink(LinkConfig()),
+                    link_config=LinkConfig(),
                     num_gpus=NUM_GPUS,
                     placement=PLACEMENT,
                     worker_specs=specs,

@@ -44,7 +44,7 @@ from repro.core.cluster import RevocationProcess
 from repro.core.fleet import CameraSpec
 from repro.core.scheduling import WORKER_TIERS, WorkerSpec
 from repro.eval import format_table, run_fleet
-from repro.network.link import LinkConfig, SharedLink
+from repro.network.link import LinkConfig
 from repro.video import build_dataset
 
 FRAMES = env_int("REPRO_BENCH_SPOT_FRAMES", 720)
@@ -114,7 +114,7 @@ def test_spot_preemption(benchmark, student, settings, results_dir):
                 build_cameras(),
                 student,
                 settings=settings,
-                link=SharedLink(LinkConfig()),
+                link_config=LinkConfig(),
                 placement=PLACEMENT,
                 **kwargs,
             )

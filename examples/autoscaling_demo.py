@@ -33,7 +33,7 @@ from __future__ import annotations
 from repro.core.autoscaling import SloScaler
 from repro.core.fleet import CameraSpec
 from repro.eval import ExperimentSettings, format_table, prepare_student, run_fleet
-from repro.network.link import LinkConfig, SharedLink
+from repro.network.link import LinkConfig
 from repro.video import build_dataset
 
 NUM_STEADY = 4
@@ -98,20 +98,20 @@ def main() -> None:
     rows.append(
         run_fleet(
             build_cameras(settings), student, settings=settings,
-            link=SharedLink(link), num_gpus=1, placement="least_loaded",
+            link_config=link, num_gpus=1, placement="least_loaded",
         ).autoscale_row()
     )
     print(f"Running the same burst on a fixed {MAX_GPUS}-GPU cloud ...")
     rows.append(
         run_fleet(
             build_cameras(settings), student, settings=settings,
-            link=SharedLink(link), num_gpus=MAX_GPUS, placement="least_loaded",
+            link_config=link, num_gpus=MAX_GPUS, placement="least_loaded",
         ).autoscale_row()
     )
     print(f"Running it elastically under the SLO scaler (1..{MAX_GPUS} GPUs) ...")
     elastic = run_fleet(
         build_cameras(settings), student, settings=settings,
-        link=SharedLink(link), num_gpus=1, placement="least_loaded",
+        link_config=link, num_gpus=1, placement="least_loaded",
         autoscaler=scaler(),
     )
     rows.append(elastic.autoscale_row())

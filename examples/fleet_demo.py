@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from repro.core.fleet import CameraSpec
 from repro.eval import ExperimentSettings, format_table, prepare_student, run_fleet
-from repro.network.link import LinkConfig, SharedLink
+from repro.network.link import LinkConfig
 from repro.video import build_dataset
 
 
@@ -57,7 +57,7 @@ def main() -> None:
         cameras,
         student,
         settings=settings,
-        link=SharedLink(LinkConfig(uplink_kbps=10_000.0, downlink_kbps=20_000.0)),
+        link_config=LinkConfig(uplink_kbps=10_000.0, downlink_kbps=20_000.0),
     )
 
     rows = []

@@ -35,7 +35,7 @@ from __future__ import annotations
 from repro.core.fleet import CameraSpec
 from repro.core.scheduling import AdmissionControlScheduler, build_scheduler
 from repro.eval import ExperimentSettings, format_table, prepare_student, run_fleet
-from repro.network.link import LinkConfig, SharedLink
+from repro.network.link import LinkConfig
 from repro.video import build_dataset
 
 DELAY_BUDGET_SECONDS = 0.2
@@ -82,7 +82,7 @@ def main() -> None:
             build_cameras(settings),
             student,
             settings=settings,
-            link=SharedLink(LinkConfig(uplink_kbps=10_000.0, downlink_kbps=20_000.0)),
+            link_config=LinkConfig(uplink_kbps=10_000.0, downlink_kbps=20_000.0),
             scheduler=make_scheduler(policy),
         )
         rows.append(outcome.row())

@@ -40,7 +40,7 @@ from repro.core.batching import LatencyBudgetBatchPolicy
 from repro.core.fleet import CameraSpec
 from repro.core.scheduling import WorkerSpec
 from repro.eval import ExperimentSettings, format_table, prepare_student, run_fleet
-from repro.network.link import LinkConfig, SharedLink
+from repro.network.link import LinkConfig
 from repro.video import build_dataset
 
 NUM_CAMERAS = int(os.environ.get("REPRO_SERVING_DEMO_CAMS", "32"))
@@ -94,7 +94,7 @@ def main() -> None:
         rows.append(
             run_fleet(
                 build_cameras(settings), student, settings=settings,
-                link=SharedLink(link), num_gpus=NUM_GPUS,
+                link_config=link, num_gpus=NUM_GPUS,
                 placement="least_loaded", worker_specs=specs,
                 batching=batching,
             ).serving_row()

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from repro.core.fleet import CameraSpec
 from repro.eval import ExperimentSettings, format_table, prepare_student, run_fleet
-from repro.network.link import LinkConfig, SharedLink
+from repro.network.link import LinkConfig
 from repro.video import build_dataset
 
 NUM_CAMERAS = 8
@@ -75,7 +75,7 @@ def main() -> None:
     rows.append(
         run_fleet(
             build_cameras(settings), student, settings=settings,
-            link=SharedLink(link), num_gpus=1,
+            link_config=link, num_gpus=1,
         ).row()
     )
     for placement in PLACEMENTS:
@@ -85,14 +85,14 @@ def main() -> None:
         rows.append(
             run_fleet(
                 build_cameras(settings), student, settings=settings,
-                link=SharedLink(link), num_gpus=NUM_GPUS, placement=placement,
+                link_config=link, num_gpus=NUM_GPUS, placement=placement,
             ).row()
         )
     print(f"Running {NUM_GPUS} GPUs, least-loaded, φ-aware 'drift' scheduler ...")
     rows.append(
         run_fleet(
             build_cameras(settings), student, settings=settings,
-            link=SharedLink(link), num_gpus=NUM_GPUS, placement="least_loaded",
+            link_config=link, num_gpus=NUM_GPUS, placement="least_loaded",
             scheduler="drift",
         ).row()
     )

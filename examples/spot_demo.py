@@ -32,7 +32,7 @@ from repro.core.cluster import RevocationProcess
 from repro.core.fleet import CameraSpec
 from repro.core.scheduling import WORKER_TIERS, WorkerSpec
 from repro.eval import ExperimentSettings, format_table, prepare_student, run_fleet
-from repro.network.link import LinkConfig, SharedLink
+from repro.network.link import LinkConfig
 from repro.video import build_dataset
 
 NUM_CAMERAS = 8
@@ -80,14 +80,14 @@ def main() -> None:
     rows.append(
         run_fleet(
             build_cameras(settings), student, settings=settings,
-            link=SharedLink(link), placement="least_loaded",
+            link_config=link, placement="least_loaded",
             worker_specs=[ON_DEMAND] * 3,
         ).cost_row() | {"recovery": "-"}
     )
     print("Running the same fleet on 1 on-demand + 3 spot GPUs (relabel) ...")
     mixed = run_fleet(
         build_cameras(settings), student, settings=settings,
-        link=SharedLink(link), placement="least_loaded",
+        link_config=link, placement="least_loaded",
         worker_specs=list(MIXED_SPECS), revocations=revocations(),
         revocation_mode="relabel",
     )
@@ -96,7 +96,7 @@ def main() -> None:
     rows.append(
         run_fleet(
             build_cameras(settings), student, settings=settings,
-            link=SharedLink(link), placement="least_loaded",
+            link_config=link, placement="least_loaded",
             worker_specs=list(MIXED_SPECS), revocations=revocations(),
             revocation_mode="checkpoint",
         ).cost_row() | {"recovery": "checkpoint"}

@@ -172,6 +172,19 @@ class RevocationProcess:
             raise RuntimeError("a scripted trace does not draw uptimes")
         return float(self._rng.exponential(self.mean_uptime_seconds))
 
+    def describe(self) -> dict:
+        """Canonical-JSON-safe identity for the journal meta header."""
+        return {
+            "scripted": self.scripted,
+            "seed": self.seed,
+            "mean_uptime_seconds": self.mean_uptime_seconds,
+            # seeded processes have no scripted trace to pin; their
+            # draws are reproduced from (seed, provision history)
+            "trace": (
+                None if self.trace is None else [list(entry) for entry in self.trace]
+            ),
+        }
+
 
 @dataclass(frozen=True)
 class RevocationRecord:
@@ -283,12 +296,16 @@ class CloudCluster:
         self.outage_wasted_gpu_seconds = 0.0
         #: region outages that tore this cluster down (federation)
         self.num_outages = 0
-        #: the fault plan armed by :meth:`start_faults` (None = no faults)
+        #: the fault plan armed by :meth:`arm_faults` (None = no faults)
         self._fault_plan: FaultPlan | None = None
         #: the event scheduler of the running fleet (set by
         #: :meth:`start_revocations`; revocation draws need it)
         self._event_scheduler: EventScheduler | None = None
         self._revocation_horizon = float("inf")
+        #: revocation events this cluster scheduled and that have not
+        #: fired yet, keyed by ``id`` — the federation routes each
+        #: :class:`RevocationEvent` to the cluster that armed it
+        self._armed_revocations: dict[int, RevocationEvent] = {}
         #: how new workers get their scheduler (kept for online resizes)
         self._scheduler_spec = scheduler
         self.schedulers = self._resolve_schedulers(scheduler, num_gpus)
@@ -481,7 +498,7 @@ class CloudCluster:
         if self.revocations.scripted:
             for time, worker_id in self.revocations.trace:
                 if time <= horizon + 1e-9:
-                    scheduler.schedule(RevocationEvent(time=time, worker_id=worker_id))
+                    self._schedule_revocation(time, worker_id)
             return
         for worker in self.workers:
             self._arm_revocation(worker, now=0.0)
@@ -497,9 +514,16 @@ class CloudCluster:
             return
         fires_at = now + self.revocations.draw_uptime()
         if fires_at <= self._revocation_horizon + 1e-9:
-            self._event_scheduler.schedule(
-                RevocationEvent(time=fires_at, worker_id=worker.worker_id)
-            )
+            self._schedule_revocation(fires_at, worker.worker_id)
+
+    def _schedule_revocation(self, time: float, worker_id: int) -> None:
+        event = RevocationEvent(time=time, worker_id=worker_id)
+        self._armed_revocations[id(event)] = event
+        self._event_scheduler.schedule(event)
+
+    def armed_revocation(self, event: RevocationEvent) -> bool:
+        """Whether this cluster scheduled ``event`` (identity, not equality)."""
+        return self._armed_revocations.get(id(event)) is event
 
     def _broadcast_label(self, camera_id: int, phi: float, now: float) -> None:
         self._last_phi[camera_id] = (phi, now)
@@ -845,6 +869,7 @@ class CloudCluster:
         worker the autoscaler was expected to add but did not.
         Revoking a non-preemptible worker is a scenario bug and raises.
         """
+        self._armed_revocations.pop(id(event), None)
         if not 0 <= event.worker_id < len(self.workers):
             return  # the targeted worker never came online: stale entry
         worker = self.workers[event.worker_id]
@@ -901,31 +926,13 @@ class CloudCluster:
             # emergency worker may now be idle for the pending jobs
             self.batcher.on_worker_idle(now, scheduler)
 
-    def start_faults(
-        self, scheduler: EventScheduler, plan: FaultPlan, horizon: float
-    ) -> None:
-        """Arm a fault plan's crash process against the running kernel.
-
-        Called once per run (after :meth:`bind`, alongside
-        :meth:`start_revocations`): the plan draws its seeded Poisson
-        crash times over ``[0, horizon]`` and schedules one
-        :class:`~repro.runtime.events.WorkerCrashEvent` per draw.  The
-        victim is *not* chosen here — each event carries an opaque
-        ``victim_draw`` that :meth:`on_crash` reduces modulo the active
-        worker count at fire time, so the same plan stays meaningful as
-        the cluster autoscales.  No-op for plans without a crash rate.
-        """
-        self._fault_plan = plan
-        for time, draw in plan.draw_crash_times(horizon):
-            scheduler.schedule(WorkerCrashEvent(time=time, victim_draw=draw))
-
     def arm_faults(self, plan: FaultPlan) -> None:
-        """Arm a fault plan without scheduling its crash process.
+        """Arm a fault plan's crash recovery on this cluster.
 
-        The federation schedules one *global* crash process and routes
-        each draw to the owning region's cluster (see
+        The fleet session schedules one *global* crash process and the
+        federation routes each draw to the owning region's cluster (see
         :meth:`~repro.core.federation.Federation.on_crash`); the cluster
-        still needs the plan armed so :meth:`on_crash` knows the
+        only needs the plan armed so :meth:`on_crash` knows the
         recovery mode.
         """
         self._fault_plan = plan

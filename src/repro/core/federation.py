@@ -1,12 +1,13 @@
 """Geo-distributed federation: N regional clusters behind WAN links.
 
-One :class:`~repro.core.fleet.FleetSession` normally runs every camera
-against a single :class:`~repro.core.cluster.CloudCluster` over one
-shared link.  A :class:`Federation` generalises that to N named
-:class:`Region`\\ s — each its own cluster (GPUs, placement, scheduler,
-batching, autoscaler) behind a :class:`~repro.network.link.RegionLink`
-with a distinct WAN profile (latency / bandwidth / $-per-GB egress) —
-plus the three control loops a geo-distributed deployment needs:
+Every :class:`~repro.core.fleet.FleetSession` runs its cameras through
+a :class:`Federation` of N named :class:`Region`\\ s — each its own
+cluster (GPUs, placement, scheduler, batching, autoscaler, spot
+revocations) behind a :class:`~repro.network.link.RegionLink` with a
+distinct WAN profile (latency / bandwidth / $-per-GB egress).  A
+single-cluster fleet (``regions=None``) is one free-WAN region.  Across
+regions the federation adds the three control loops a geo-distributed
+deployment needs:
 
 * **region selection** — a pluggable :class:`RegionSelector` layer
   *above* the per-cluster :class:`~repro.core.scheduling.PlacementPolicy`
@@ -36,10 +37,12 @@ that carry no region tag are routed by *identity*: a
 ``pending_completion`` is that exact event object, a
 :class:`~repro.runtime.events.BatchTimeout` to the batcher whose armed
 timer it is, an :class:`~repro.runtime.events.AutoscaleTick` to the
-controller that scheduled it, and a delivery event to the region link
+controller that scheduled it, a
+:class:`~repro.runtime.events.RevocationEvent` to the cluster whose
+revocation process drew it, and a delivery event to the region link
 that projected it.  Identity routing adds no payload fields, which is
-what keeps a degenerate 1-region federation's journal byte-identical
-to the plain single-cluster run.
+what keeps a one-region federation's journal byte-identical to the
+single-cluster runs recorded before federations existed.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ import numpy as np
 from repro.core.actors import SharedLinkTransport
 from repro.core.autoscaling import AutoscaleController, build_autoscaler
 from repro.core.batching import BatchPolicy, FleetBatcher
-from repro.core.cluster import CloudCluster, SchedulerSpec
+from repro.core.cluster import CloudCluster, RevocationProcess, SchedulerSpec
 from repro.core.faults import (
     PLANTED_BUGS,
     FaultPlan,
@@ -96,11 +99,12 @@ class RegionSpec:
 
     Per-region knobs mirror the single-cluster :class:`FleetSession`
     arguments (GPUs, placement, scheduler, worker specs, batching,
-    autoscaler); the WAN profile adds the geo dimension — latency,
-    bandwidth and an egress price every byte crossing the region's
-    link pays.  Spot revocations are deliberately *not* a per-region
-    knob: the federation's own outage process already models capacity
-    loss, and mixing the two would entangle their accounting.
+    autoscaler, spot revocations and their recovery mode); the WAN
+    profile adds the geo dimension — latency, bandwidth and an egress
+    price every byte crossing the region's link pays.  Each region's
+    :class:`~repro.core.cluster.RevocationProcess` kills only that
+    region's spot workers (worker ids in a scripted trace are
+    region-local).
     """
 
     name: str
@@ -111,6 +115,8 @@ class RegionSpec:
     worker_specs: WorkerSpec | list[WorkerSpec] | None = None
     batching: "FleetBatcher | BatchPolicy | str | None" = None
     autoscaler: object | None = None
+    revocations: RevocationProcess | None = None
+    revocation_mode: str = "relabel"
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -118,7 +124,16 @@ class RegionSpec:
 
 
 class Region:
-    """One live region: cluster + WAN link + autoscaler + homing state."""
+    """One live region: cluster + WAN link + autoscaler + homing state.
+
+    Construction rejects a region whose cluster would have to grow
+    mid-run but cannot: a cluster built around one ready
+    :class:`~repro.core.scheduling.GpuScheduler` instance has no recipe
+    for a new worker's scheduler, yet spot revocations (emergency
+    capacity), a growing autoscaler and crash supervision (same-spec
+    replacements) all add workers.  Failing here beats failing minutes
+    into the run.
+    """
 
     def __init__(self, index: int, spec: RegionSpec, plan: FaultPlan | None) -> None:
         self.index = index
@@ -133,9 +148,12 @@ class Region:
             placement=spec.placement,
             scheduler=spec.scheduler,
             worker_specs=spec.worker_specs,
+            revocations=spec.revocations,
+            revocation_mode=spec.revocation_mode,
             batching=spec.batching,
         )
         self.autoscaler = build_autoscaler(spec.autoscaler)
+        self._check_growth(plan)
         #: the per-run AutoscaleController (attached by Federation.bind)
         self.controller: AutoscaleController | None = None
         #: this region's inner point-to-point transport over its link
@@ -153,14 +171,50 @@ class Region:
         self.num_migrations_away = 0
         self.num_migrations_in = 0
 
+    def _check_growth(self, plan: FaultPlan | None) -> None:
+        cluster, scaler = self.cluster, self.autoscaler
+        scales = scaler.name != "none"
+        growth = []
+        if cluster.revocations is not None and any(
+            spec.preemptible for spec in cluster.worker_specs
+        ):
+            growth.append("spot revocations of its preemptible workers")
+        if scales and scaler.max_gpus > cluster.num_gpus:
+            growth.append(
+                f"autoscaler {scaler.name!r} growing it to {scaler.max_gpus} GPUs"
+            )
+        if plan is not None and plan.mean_time_between_crashes is not None:
+            growth.append("crash recovery under the fault plan")
+        if growth and not cluster.can_grow:
+            raise ValueError(
+                f"region {self.name!r} must be able to provision replacements "
+                f"for {' and '.join(growth)}, but its cluster was built around "
+                "a single GpuScheduler instance and cannot add workers; pass a "
+                "scheduler policy name or a zero-arg factory instead"
+            )
+        # min_gpus only gates scale-IN — no policy scales out just to
+        # reach the floor — so a floor above the starting size would
+        # silently never hold; demand the operator start at the floor
+        if scales and scaler.min_gpus > cluster.num_gpus:
+            raise ValueError(
+                f"region {self.name!r}: autoscaler {scaler.name!r} keeps at "
+                f"least {scaler.min_gpus} GPUs but the cluster starts with "
+                f"{cluster.num_gpus}; set num_gpus >= min_gpus"
+            )
+
     @property
     def wan(self) -> WanProfile:
         """The region's WAN shape (bandwidth, RTT, egress price)."""
         return self.spec.wan
 
     def describe(self) -> dict:
-        """Canonical-JSON-safe identity for the journal meta header."""
-        return {
+        """Canonical-JSON-safe identity for the journal meta header.
+
+        The revocation keys appear only for regions with a revocation
+        process, so journals recorded before regions could carry one
+        keep their bytes.
+        """
+        described = {
             "name": self.name,
             "num_gpus": self.cluster.num_gpus,
             "scheduler": self.cluster.scheduler_name,
@@ -183,6 +237,10 @@ class Region:
                 for spec in self.cluster.worker_specs
             ],
         }
+        if self.cluster.revocations is not None:
+            described["revocations"] = self.cluster.revocations.describe()
+            described["revocation_mode"] = self.cluster.revocation_mode
+        return described
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +457,10 @@ class FederatedTransport:
     def on_partition(self, event: LinkPartitionEvent, scheduler: EventScheduler) -> None:
         """Cut or heal one region's WAN link (``camera_id`` tags the region).
 
-        Mirrors the single-link kernel path exactly — pause/resume both
-        pipes, then re-project the pending completions — which is what
-        keeps the degenerate 1-region federation byte-identical to the
-        plain run under partition chaos.
+        Pause/resume both pipes, then re-project the pending
+        completions — the same steps, in the same order, as the
+        single-link runs recorded before federations existed, which
+        keeps one-region journals byte-identical under partition chaos.
         """
         region = self.federation.regions[event.camera_id]
         if event.healed:
@@ -512,10 +570,10 @@ class Federation:
         first (reliable ones share ``channel``), then each cluster's
         workers are created against the *federated* transport so label
         and model sends route by camera home, and each region's
-        autoscale controller is constructed and started.  The per-region
-        start order mirrors the plain session's single
-        ``controller.start`` call, which keeps the degenerate 1-region
-        federation's event sequence numbers identical to the plain run.
+        autoscale controller is constructed and started.  For one region
+        this is the single ``controller.start`` call of the
+        pre-federation single-cluster run, so its event sequence numbers
+        are unchanged.
         """
         if self._bound:
             raise RuntimeError(
@@ -772,7 +830,7 @@ class Federation:
         picks a victim exactly as a single cluster would, then the
         owning cluster handles the kill with a victim draw rewritten to
         its local index — same recovery semantics, same counters, and
-        for one region the same victim the plain path would pick.
+        for one region the same victim the cluster alone would pick.
         """
         now = event.time
         pools = [region.cluster.crash_eligible(now) for region in self.regions]
@@ -789,10 +847,18 @@ class Federation:
             pick -= len(pool)
 
     def on_revocation(self, event: RevocationEvent, scheduler: EventScheduler) -> None:
-        """Reject spot revocations: federations model loss as outages."""
+        """Route a spot revocation to the cluster whose process scheduled it.
+
+        Worker ids are region-local, so the event's ``worker_id`` alone
+        is ambiguous; the revocation belongs to the unique cluster that
+        armed this exact event object.
+        """
+        for region in self.regions:
+            if region.cluster.armed_revocation(event):
+                region.cluster.on_revocation(event, scheduler)
+                return
         raise RuntimeError(
-            "spot revocations are not supported under a federation; model "
-            "capacity loss with region outages instead"
+            f"RevocationEvent for worker {event.worker_id} was armed by no region"
         )
 
     def on_labels_for_training(self, actor, labeled, now, scheduler) -> None:

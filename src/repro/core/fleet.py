@@ -4,7 +4,9 @@ This is where the event kernel pays off.  A :class:`FleetSession` runs N
 heterogeneous camera streams — each with its own dataset, strategy and
 student copy — against a *single* :class:`~repro.core.cloud.CloudServer`
 and a *single* processor-sharing
-:class:`~repro.network.link.SharedLink`:
+:class:`~repro.network.link.SharedLink` by default (one free-WAN region
+of a :class:`~repro.core.federation.Federation`; pass ``regions`` to
+spread the cloud over several WAN-profiled regions):
 
 * uploads from different cameras contend for the shared uplink, so
   transfer times stretch with fleet size;
@@ -28,19 +30,15 @@ Every camera still produces a full per-camera
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from repro.core.actors import EdgeActor, SessionKernel, SharedLinkTransport
+from repro.core.actors import EdgeActor, SessionKernel
 from repro.core.adaptive_training import AdaptiveTrainer
-from repro.core.autoscaling import (
-    AutoscaleController,
-    AutoscalePolicy,
-    ScalingEvent,
-    build_autoscaler,
-)
+from repro.core.autoscaling import AutoscalePolicy, ScalingEvent
 from repro.core.cloud import CloudServer
 from repro.core.batching import BatchPolicy, FleetBatcher
 from repro.core.cluster import (
@@ -56,7 +54,6 @@ from repro.core.faults import (
     FaultPlan,
     FaultySharedLink,
     ReliableChannel,
-    ReliableTransport,
 )
 from repro.core.federation import Federation, RegionSelector, RegionSpec
 from repro.core.sampling import SamplingRateController
@@ -65,7 +62,7 @@ from repro.core.session import SessionOptions, SessionResult, resolve_session_co
 from repro.core.strategies import build_strategy
 from repro.detection.student import StudentDetector
 from repro.detection.teacher import TeacherDetector
-from repro.network.link import LinkConfig, SharedLink
+from repro.network.link import LinkConfig, WanProfile
 from repro.runtime.device import CloudComputeModel, EdgeComputeModel
 from repro.runtime.journal import stable_digest
 from repro.runtime.metrics import reduce_metric
@@ -527,32 +524,43 @@ class FleetResult:
 
 
 class FleetSession:
-    """N cameras, one cloud (1..N GPUs), one shared network link.
+    """N cameras, a cloud of 1..N regions (1..N GPUs each), shared links.
 
     Each camera starts from a fresh clone of the pre-trained student and
     resolves its own strategy/config exactly as a standalone
     :class:`CollaborativeSession` would; only the *resources* (teacher
-    GPUs, uplink/downlink) are shared.  ``scheduler`` picks the per-GPU
-    sharing policy — a :class:`GpuScheduler` instance or a registered
-    policy name (``"fifo"``, ``"staleness"``, ``"weighted_fair"``,
-    ``"admission"``, ``"drift"``); the default FIFO policy reproduces
-    the pre-scheduler fleet behaviour exactly.  ``num_gpus`` and
-    ``placement`` (``"round_robin"``, ``"least_loaded"``, ``"sticky"``,
+    GPUs, uplink/downlink) are shared.  Every run goes through one
+    :class:`~repro.core.federation.Federation`: ``regions`` lists its
+    :class:`~repro.core.federation.RegionSpec`\\ s, and the default
+    ``regions=None`` is one free-WAN region built from the cluster and
+    link knobs below — the single-cluster fleet.
+
+    ``scheduler`` picks the per-GPU sharing policy — a
+    :class:`GpuScheduler` instance or a registered policy name
+    (``"fifo"``, ``"staleness"``, ``"weighted_fair"``, ``"admission"``,
+    ``"drift"``); the default FIFO policy reproduces the pre-scheduler
+    fleet behaviour exactly.  ``num_gpus`` and ``placement``
+    (``"round_robin"``, ``"least_loaded"``, ``"sticky"``,
     ``"power_of_two"``) shard the cloud into a
-    :class:`~repro.core.cluster.CloudCluster`; alternatively pass a
-    ready ``cluster`` and leave the three policy knobs at their
-    defaults.  ``autoscaler`` picks the elastic-scaling policy
-    (``"none"`` — the default, fixed cluster —, ``"slo"``, ``"step"``
-    or an :class:`~repro.core.autoscaling.AutoscalePolicy` instance)
-    that may grow/shrink the cluster online from the queue-delay
-    signal.  ``worker_specs`` describes the hardware mix (speed / cost
-    rate / spot flag per worker), ``revocations`` attaches a
+    :class:`~repro.core.cluster.CloudCluster`.  ``autoscaler`` picks the
+    elastic-scaling policy (``"none"`` — the default, fixed cluster —,
+    ``"slo"``, ``"step"`` or an
+    :class:`~repro.core.autoscaling.AutoscalePolicy` instance) that may
+    grow/shrink the cluster online from the queue-delay signal.
+    ``worker_specs`` describes the hardware mix (speed / cost rate /
+    spot flag per worker), ``revocations`` attaches a
     :class:`~repro.core.cluster.RevocationProcess` that kills spot
     workers mid-run, and ``revocation_mode`` picks how interrupted jobs
     recover (``"relabel"`` from scratch or ``"checkpoint"`` resume).
+    ``link_config`` shapes the shared link.  With ``regions=[...]``
+    these knobs live on each ``RegionSpec`` instead, and
+    ``region_selector`` / ``region_outages`` /
+    ``replication_interval_seconds`` / ``failover`` drive the
+    cross-region control loops (see :mod:`repro.core.federation`).
+
     ``faults`` attaches a seeded :class:`~repro.core.faults.FaultPlan`:
-    the shared link is wrapped to lose/duplicate/delay messages, the
-    edge retransmits with exponential backoff through a
+    every link is wrapped to lose/duplicate/delay messages, the edge
+    retransmits with exponential backoff through a
     :class:`~repro.core.faults.ReliableChannel` (the cloud dedups by
     message id), and the plan's Poisson crash process kills workers
     mid-handler with supervised recovery.  ``run(journal=...)`` records
@@ -567,7 +575,6 @@ class FleetSession:
         student: StudentDetector,
         teacher: TeacherDetector,
         config: ShoggothConfig | None = None,
-        link: SharedLink | None = None,
         link_config: LinkConfig | None = None,
         edge_compute: EdgeComputeModel | None = None,
         cloud_compute: CloudComputeModel | None = None,
@@ -576,7 +583,6 @@ class FleetSession:
         scheduler: SchedulerSpec = None,
         num_gpus: int = 1,
         placement: PlacementPolicy | str | None = None,
-        cluster: CloudCluster | None = None,
         autoscaler: AutoscalePolicy | str | None = None,
         worker_specs: WorkerSpec | list[WorkerSpec] | None = None,
         revocations: RevocationProcess | None = None,
@@ -595,9 +601,6 @@ class FleetSession:
         duplicates = sorted({name for name in names if names.count(name) > 1})
         if duplicates:
             raise ValueError(f"camera names must be unique, duplicated: {duplicates}")
-        self.federation: Federation | None = None
-        self._degenerate = False
-        self._scripted_region_outages: list[tuple[float, float, int]] = []
         if regions is None:
             if (
                 region_selector is not None
@@ -608,181 +611,79 @@ class FleetSession:
                     "region_selector / region_outages / "
                     "replication_interval_seconds require regions=[...]"
                 )
-        else:
-            if (
-                cluster is not None
-                or scheduler is not None
-                or placement is not None
-                or num_gpus != 1
-                or worker_specs is not None
-                or revocations is not None
-                or revocation_mode != "relabel"
-                or batching is not None
-                or autoscaler is not None
-                or link is not None
-                or link_config is not None
-            ):
-                raise ValueError(
-                    "with regions=[...] the cluster/link knobs live on each "
-                    "RegionSpec; pass neither a ready cluster/link nor the "
-                    "scheduler/num_gpus/placement/worker_specs/revocations/"
-                    "revocation_mode/batching/autoscaler/link_config arguments "
-                    "(spot revocations are not supported under a federation)"
+            link_config = link_config or LinkConfig()
+            regions = [
+                RegionSpec(
+                    name="default",
+                    num_gpus=num_gpus,
+                    wan=WanProfile(
+                        uplink_kbps=link_config.uplink_kbps,
+                        downlink_kbps=link_config.downlink_kbps,
+                        rtt_seconds=link_config.rtt_seconds,
+                    ),
+                    scheduler=scheduler,
+                    placement=placement,
+                    worker_specs=worker_specs,
+                    batching=batching,
+                    autoscaler=autoscaler,
+                    revocations=revocations,
+                    revocation_mode=revocation_mode,
                 )
-            for entry in region_outages or []:
-                start, end, index = entry
-                if not 0 <= int(index) < len(regions):
-                    raise ValueError(
-                        f"region outage {entry!r} names region {index} of "
-                        f"{len(regions)}"
-                    )
-                if not float(start) < float(end):
-                    raise ValueError(
-                        f"region outage {entry!r} must cut strictly before it "
-                        "heals"
-                    )
-                self._scripted_region_outages.append(
-                    (float(start), float(end), int(index))
-                )
-            self.federation = Federation(
-                regions,
-                selector=region_selector,
-                faults=faults,
-                failover=failover,
-                replication_interval_seconds=replication_interval_seconds,
-            )
-            if (
-                faults is not None
-                and faults.mean_time_between_crashes is not None
-                and any(
-                    not region.cluster.can_grow
-                    for region in self.federation.regions
-                )
-            ):
-                raise ValueError(
-                    "a fault plan with crashes must be able to provision "
-                    "replacement workers in every region; construct each "
-                    "RegionSpec with a scheduler policy name or a zero-arg "
-                    "factory, not a single GpuScheduler instance"
-                )
-            # a degenerate federation — one region, zero-priced WAN, no
-            # outage process, no replication — is pinned bit-for-bit
-            # (fingerprint AND journal bytes) to the plain single-cluster
-            # run; the golden-pin tests hold this contract
-            self._degenerate = (
-                len(regions) == 1
-                and self.federation.regions[0].wan.cost_per_gb == 0.0
-                and not self._scripted_region_outages
-                and (faults is None or not faults.injects_region_outages)
-                and replication_interval_seconds is None
-            )
-        if self.federation is not None:
-            self.cluster = None
-        elif cluster is not None:
-            if (
-                scheduler is not None
-                or placement is not None
-                or num_gpus != 1
-                or worker_specs is not None
-                or revocations is not None
-                or revocation_mode != "relabel"
-                or batching is not None
-            ):
-                raise ValueError(
-                    "pass either a ready cluster or the scheduler/num_gpus/"
-                    "placement/worker_specs/revocations/revocation_mode/"
-                    "batching knobs, not both"
-                )
-            self.cluster = cluster
-        else:
-            self.cluster = CloudCluster(
-                num_gpus=num_gpus,
-                placement=placement,
-                scheduler=scheduler,
-                worker_specs=worker_specs,
-                revocations=revocations,
-                revocation_mode=revocation_mode,
-                batching=batching,
-            )
-        # fail now, not at the first revocation: recovering from a spot
-        # kill may need an emergency worker, which a cluster built
-        # around one ready GpuScheduler instance cannot mint
-        if (
-            self.cluster is not None
-            and self.cluster.revocations is not None
-            and any(spec.preemptible for spec in self.cluster.worker_specs)
-            and not self.cluster.can_grow
+            ]
+        elif (
+            scheduler is not None
+            or placement is not None
+            or num_gpus != 1
+            or worker_specs is not None
+            or revocations is not None
+            or revocation_mode != "relabel"
+            or batching is not None
+            or autoscaler is not None
+            or link_config is not None
         ):
             raise ValueError(
-                "a cluster with preemptible workers and a revocation process "
-                "must be able to provision replacements; construct it with a "
-                "scheduler policy name or a zero-arg factory, not a single "
-                "GpuScheduler instance"
+                "with regions=[...] the cluster/link knobs live on each "
+                "RegionSpec; pass none of the scheduler/num_gpus/placement/"
+                "worker_specs/revocations/revocation_mode/batching/autoscaler/"
+                "link_config arguments"
             )
-        self.autoscaler = None if self.federation is not None else build_autoscaler(
-            autoscaler
+        self._scripted_region_outages: list[tuple[float, float, int]] = []
+        for entry in region_outages or []:
+            start, end, index = entry
+            if not 0 <= int(index) < len(regions):
+                raise ValueError(
+                    f"region outage {entry!r} names region {index} of "
+                    f"{len(regions)}"
+                )
+            if not float(start) < float(end):
+                raise ValueError(
+                    f"region outage {entry!r} must cut strictly before it heals"
+                )
+            self._scripted_region_outages.append((float(start), float(end), int(index)))
+        self.federation = Federation(
+            regions,
+            selector=region_selector,
+            faults=faults,
+            failover=failover,
+            replication_interval_seconds=replication_interval_seconds,
         )
-        # fail now, not minutes into the run at the first scale-out: a
-        # cluster built around one ready GpuScheduler instance has no
-        # recipe for the schedulers new workers would need
-        if (
-            self.autoscaler is not None
-            and self.autoscaler.name != "none"
-            and self.autoscaler.max_gpus > self.cluster.num_gpus
-            and not self.cluster.can_grow
-        ):
-            raise ValueError(
-                f"autoscaler {self.autoscaler.name!r} may grow the cluster to "
-                f"{self.autoscaler.max_gpus} GPUs, but the cluster was built "
-                "around a single GpuScheduler instance and cannot add workers; "
-                "construct it with a policy name or a zero-arg factory"
-            )
-        # min_gpus only gates scale-IN — no policy scales out just to
-        # reach the floor — so a floor above the starting size would
-        # silently never hold; demand the operator start at the floor
-        if (
-            self.autoscaler is not None
-            and self.autoscaler.name != "none"
-            and self.autoscaler.min_gpus > self.cluster.num_gpus
-        ):
-            raise ValueError(
-                f"autoscaler {self.autoscaler.name!r} keeps at least "
-                f"{self.autoscaler.min_gpus} GPUs but the cluster starts with "
-                f"{self.cluster.num_gpus}; set num_gpus >= min_gpus"
-            )
-        if faults is not None and link is not None:
-            raise ValueError(
-                "pass either a ready link or a fault plan, not both: message "
-                "faults are injected by wrapping the link the session builds"
-            )
-        # crash recovery provisions same-spec replacements mid-run, which
-        # a cluster built around one ready GpuScheduler instance cannot
-        # mint; fail now, not at the first crash
-        if (
-            faults is not None
-            and faults.mean_time_between_crashes is not None
-            and self.cluster is not None
-            and not self.cluster.can_grow
-        ):
-            raise ValueError(
-                "a fault plan with crashes must be able to provision "
-                "replacement workers; construct the cluster with a scheduler "
-                "policy name or a zero-arg factory, not a single GpuScheduler "
-                "instance"
-            )
+        # a degenerate federation — one region, zero-priced WAN, no
+        # outage process, no replication — journals and fingerprints
+        # without a region block, so every digest recorded before
+        # federations existed (and every regions=None run) stays
+        # byte-identical; the golden-pin tests hold this contract
+        self._degenerate = (
+            len(regions) == 1
+            and self.federation.regions[0].wan.cost_per_gb == 0.0
+            and not self._scripted_region_outages
+            and (faults is None or not faults.injects_region_outages)
+            and replication_interval_seconds is None
+        )
         self.faults = faults
         self.cameras = list(cameras)
         self.student = student
         self.teacher = teacher
         self.config = config or ShoggothConfig()
-        if self.federation is not None:
-            # region links were built inside the federation, one WAN
-            # profile each; there is no single fleet-wide link
-            self.link = None
-        elif faults is not None:
-            self.link = FaultySharedLink(link_config, faults)
-        else:
-            self.link = link or SharedLink(link_config)
         self.edge_compute = edge_compute or EdgeComputeModel()
         self.cloud_compute = cloud_compute or CloudComputeModel()
         self.replay_seed = replay_seed
@@ -799,24 +700,26 @@ class FleetSession:
     # -- wiring ------------------------------------------------------------
     @property
     def clusters(self) -> list[CloudCluster]:
-        """Every cluster in the session, in region order (one if plain)."""
-        if self.federation is not None:
-            return [region.cluster for region in self.federation.regions]
-        return [self.cluster]
+        """Every region's cluster, in region order."""
+        return self.federation.clusters
 
     @property
     def links(self) -> list:
-        """Every link in the session, in region order (one if plain)."""
-        if self.federation is not None:
-            return [region.link for region in self.federation.regions]
-        return [self.link]
+        """Every region's link, in region order."""
+        return [region.link for region in self.federation.regions]
+
+    @property
+    def cluster(self) -> CloudCluster:
+        """The only cluster of a one-region session (read-only alias)."""
+        if self.federation.num_regions != 1:
+            raise AttributeError(
+                f"this session spans {self.federation.num_regions} regions; "
+                "use session.clusters"
+            )
+        return self.federation.regions[0].cluster
 
     def _build_camera(
-        self,
-        camera_id: int,
-        spec: CameraSpec,
-        cloud_actor,
-        transport: SharedLinkTransport,
+        self, camera_id: int, spec: CameraSpec
     ) -> tuple[EdgeActor, "VideoStream"]:
         options = spec.resolve_options()
         cfg = resolve_session_config(spec.config or self.config, options)
@@ -835,25 +738,21 @@ class FleetSession:
             seed=spec.seed,
         )
         stream = spec.dataset.build()
-        link_config = (
-            self.federation.regions[0].link.config
-            if self.federation is not None
-            else self.link.config
-        )
+        fed = self.federation
         actor = EdgeActor(
             camera_id=camera_id,
             edge=edge,
-            cloud_actor=cloud_actor,
+            cloud_actor=fed,
             teacher=self.teacher,
             options=options,
             config=cfg,
             encoder=H264Encoder(stream.renderer.nominal_pixels),
-            transport=transport,
+            transport=fed.transport,
             dataset=spec.dataset,
-            link_config=link_config,
+            link_config=fed.regions[0].link.config,
             edge_compute=self.edge_compute,
         )
-        cloud_actor.register_camera(
+        fed.register_camera(
             actor,
             schedule=spec.dataset.schedule,
             controller=SamplingRateController(cfg.sampling),
@@ -861,11 +760,10 @@ class FleetSession:
             replay_seed=self.replay_seed,
             weight=spec.weight,
         )
-        if self.federation is not None:
-            # link_config only feeds derived (counterfactual) traces, so
-            # re-pointing it at the camera's selected home region after
-            # registration changes no event timing
-            actor.link_config = self.federation.region_of(camera_id).link.config
+        # link_config only feeds derived (counterfactual) traces, so
+        # re-pointing it at the camera's selected home region after
+        # registration changes no event timing
+        actor.link_config = fed.region_of(camera_id).link.config
         return actor, stream
 
     def _journal_meta(self) -> dict:
@@ -873,33 +771,13 @@ class FleetSession:
 
         Recorded as the journal header: replay refuses to start against
         a session whose configuration differs, and two runs can only
-        produce byte-identical journals if they agree here first.
+        produce byte-identical journals if they agree here first.  The
+        top-level cluster/link fields describe region 0; the region
+        block (every region's full shape) is added for non-degenerate
+        federations only, so single-cluster headers keep their bytes.
         """
-        if self.federation is not None:
-            # a degenerate federation must journal *exactly* the plain
-            # single-cluster header — source every field from region 0
-            meta_cluster = self.federation.regions[0].cluster
-            meta_link_config = self.federation.regions[0].link.config
-            autoscaler_name = self.federation.regions[0].autoscaler.name
-        else:
-            meta_cluster = self.cluster
-            meta_link_config = self.link.config
-            autoscaler_name = self.autoscaler.name
-        revocations = None
-        if meta_cluster.revocations is not None:
-            process = meta_cluster.revocations
-            revocations = {
-                "scripted": process.scripted,
-                "seed": process.seed,
-                "mean_uptime_seconds": process.mean_uptime_seconds,
-                # seeded processes have no scripted trace to pin; their
-                # draws are reproduced from (seed, provision history)
-                "trace": (
-                    None
-                    if process.trace is None
-                    else [list(entry) for entry in process.trace]
-                ),
-            }
+        first = self.federation.regions[0]
+        cluster, link_config = first.cluster, first.link.config
         meta = {
             "kind": "fleet",
             "cameras": [
@@ -914,9 +792,9 @@ class FleetSession:
                 }
                 for spec in self.cameras
             ],
-            "scheduler": meta_cluster.scheduler_name,
-            "placement": meta_cluster.placement_name,
-            "num_gpus": meta_cluster.num_gpus,
+            "scheduler": cluster.scheduler_name,
+            "placement": cluster.placement_name,
+            "num_gpus": cluster.num_gpus,
             "worker_specs": [
                 {
                     "tier": spec.tier,
@@ -925,30 +803,35 @@ class FleetSession:
                     "preemptible": spec.preemptible,
                     "batch_scaling": spec.batch_scaling,
                 }
-                for spec in meta_cluster.worker_specs
+                for spec in cluster.worker_specs
             ],
-            "batching": (
-                None if meta_cluster.batcher is None else meta_cluster.batcher.describe()
+            "batching": None if cluster.batcher is None else cluster.batcher.describe(),
+            "revocations": (
+                None if cluster.revocations is None else cluster.revocations.describe()
             ),
-            "revocations": revocations,
-            "revocation_mode": meta_cluster.revocation_mode,
-            "autoscaler": autoscaler_name,
+            "revocation_mode": cluster.revocation_mode,
+            "autoscaler": first.autoscaler.name,
             "faults": None if self.faults is None else self.faults.fingerprint(),
             "batch_overhead_seconds": self.batch_overhead_seconds,
             "link": {
-                "uplink_kbps": meta_link_config.uplink_kbps,
-                "downlink_kbps": meta_link_config.downlink_kbps,
-                "rtt_seconds": meta_link_config.rtt_seconds,
+                "uplink_kbps": link_config.uplink_kbps,
+                "downlink_kbps": link_config.downlink_kbps,
+                "rtt_seconds": link_config.rtt_seconds,
             },
-            "replay_seed": None if self.replay_seed is None else list(self.replay_seed),
+            # digests, not the raw images: the header must stay
+            # canonical JSON, and a digest still pins the seed data
+            "replay_seed": (
+                None
+                if self.replay_seed is None
+                else [_replay_seed_digest(part) for part in self.replay_seed]
+            ),
         }
-        if self.federation is not None and not self._degenerate:
-            meta["regions"] = [region.describe() for region in self.federation.regions]
-            meta["selector"] = self.federation.selector.name
-            meta["failover"] = self.federation.failover
-            meta["replication_interval_seconds"] = (
-                self.federation.replication_interval_seconds
-            )
+        if not self._degenerate:
+            fed = self.federation
+            meta["regions"] = [region.describe() for region in fed.regions]
+            meta["selector"] = fed.selector.name
+            meta["failover"] = fed.failover
+            meta["replication_interval_seconds"] = fed.replication_interval_seconds
             meta["region_outages"] = [
                 list(outage) for outage in self._scripted_region_outages
             ]
@@ -956,7 +839,7 @@ class FleetSession:
 
     # -- execution ------------------------------------------------------------
     def run(self, journal: object | None = None) -> FleetResult:
-        """Simulate every stream against the shared cloud and link.
+        """Simulate every stream against the federation's clouds and links.
 
         ``journal`` (an :class:`~repro.runtime.journal.EventJournal`, or
         the replay cursor :meth:`~repro.runtime.journal.EventJournal.replay`
@@ -965,17 +848,21 @@ class FleetSession:
         result's :meth:`FleetResult.fingerprint` seals it.  Recording is
         observation only — event timing and ordering are identical with
         and without a journal.
+
+        Events are scheduled in the order the pre-federation
+        single-cluster run used (autoscale ticks, revocations, crashes,
+        the legacy partition stream for one region), which is what keeps
+        a one-region run's journal byte-identical to those recordings.
         """
         if self._ran:
             raise RuntimeError(
-                "FleetSession can only be run once (the shared link and cloud "
-                "accumulate state); construct a new session"
+                "FleetSession can only be run once (the shared links and "
+                "clusters accumulate state); construct a new session"
             )
         self._ran = True
         if journal is not None:
             journal.begin(self._journal_meta())
-        if self.federation is not None:
-            return self._run_federated(journal)
+        fed = self.federation
         channel = None
         scheduler = EventScheduler()
         if self.faults is not None:
@@ -983,169 +870,13 @@ class FleetSession:
             # the plan's seed, not of any earlier session it served
             self.faults.reset()
             channel = ReliableChannel(self.faults)
-            transport: SharedLinkTransport = ReliableTransport(self.link, channel)
-        else:
-            transport = SharedLinkTransport(self.link)
-        # binding creates the GPU workers and resets reused scheduler /
-        # placement instances, so no clocks or deficits leak between fleets
-        cluster = self.cluster.bind(
-            self.cloud,
-            transport,
-            batch_overhead_seconds=self.batch_overhead_seconds,
-        )
-        edge_actors: dict[int, EdgeActor] = {}
-        streams = {}
-        for camera_id, spec in enumerate(self.cameras):
-            actor, stream = self._build_camera(camera_id, spec, cluster, transport)
-            edge_actors[camera_id] = actor
-            streams[camera_id] = iter(stream)
-
         duration = max(
             spec.dataset.num_frames / spec.dataset.fps for spec in self.cameras
         )
-        # the autoscale controller ticks until the last stream ends; the
-        # default NoScaler schedules no ticks at all, so the run is
-        # bit-for-bit (and event-for-event) the fixed-cluster run
-        controller = AutoscaleController(self.autoscaler, cluster, horizon=duration)
-        controller.start(scheduler)
-        # arm the spot-revocation process (no-op without one): scripted
-        # traces schedule verbatim, seeded spot workers draw uptimes
-        cluster.start_revocations(scheduler, horizon=duration)
-        if self.faults is not None:
-            cluster.start_faults(scheduler, self.faults, horizon=duration)
-            # link partitions: cut/heal pairs from the plan's seeded
-            # partition process.  The heal is always scheduled (even past
-            # the nominal horizon — the kernel drains fully), so a run
-            # never ends with the link still down and transfers frozen.
-            for start, end in self.faults.draw_partitions(duration):
-                scheduler.schedule(LinkPartitionEvent(time=start))
-                scheduler.schedule(LinkPartitionEvent(time=end, healed=True))
-        kernel = SessionKernel(
-            scheduler,
-            edge_actors=edge_actors,
-            cloud_actor=cluster,
-            transport=transport,
-            streams=streams,
-            autoscaler=controller,
-            channel=channel,
-            journal=journal,
-        )
-        kernel.run()
-
-        camera_results = []
-        gpu_by_name: dict[str, float] = {}
-        rejections = cluster.rejections_by_camera
-        migrations = cluster.migrations_by_camera
-        for camera_id, spec in enumerate(self.cameras):
-            actor = edge_actors[camera_id]
-            gpu = cluster.gpu_seconds_by_camera.get(camera_id, 0.0)
-            gpu_by_name[spec.name] = gpu
-            camera_results.append(
-                FleetCameraResult(
-                    camera=spec.name,
-                    session=actor.build_result(cloud_gpu_seconds=gpu),
-                    gpu_seconds=gpu,
-                    upload_latencies=list(actor.upload_latencies),
-                    rejected_uploads=rejections.get(camera_id, 0),
-                )
-            )
-        queue_waits = cluster.queue_waits
-        slo = self.autoscaler.slo_seconds
-        violations = (
-            # vectorised count: same comparisons as the generator it
-            # replaces, without a Python-level pass over every job
-            int(np.count_nonzero(np.asarray(queue_waits) > slo)) / len(queue_waits)
-            if slo is not None and queue_waits
-            else 0.0
-        )
-        faulty_link = self.link if isinstance(self.link, FaultySharedLink) else None
-        result = FleetResult(
-            cameras=camera_results,
-            queue_waits=queue_waits,
-            cloud_gpu_seconds=self.cloud.total_gpu_seconds,
-            cloud_busy_seconds=cluster.busy_seconds,
-            duration_seconds=duration,
-            num_labeling_batches=cluster.num_labeling_batches,
-            gpu_seconds_by_camera=gpu_by_name,
-            scheduler=cluster.scheduler_name,
-            training_waits=cluster.training_waits,
-            num_gpus=cluster.num_gpus,
-            placement=cluster.placement_name,
-            gpu_busy_by_worker=cluster.gpu_busy_by_worker,
-            migrations_by_camera={
-                spec.name: migrations.get(camera_id, 0)
-                for camera_id, spec in enumerate(self.cameras)
-            },
-            autoscaler=self.autoscaler.name,
-            scaling_events=list(controller.events),
-            gpu_seconds_provisioned=cluster.provisioned_gpu_seconds(duration),
-            slo_seconds=slo,
-            slo_violation_fraction=violations,
-            worker_specs=list(cluster.worker_specs),
-            dollar_cost=cluster.dollar_cost(duration),
-            gpu_seconds_by_tier=cluster.gpu_seconds_by_tier(duration),
-            revocation_records=list(cluster.revocation_log),
-            num_relabeled_jobs=cluster.num_relabeled_jobs,
-            num_checkpoint_resumed_jobs=cluster.num_checkpoint_resumed_jobs,
-            wasted_gpu_seconds=cluster.wasted_gpu_seconds,
-            fault_plan="none" if self.faults is None else self.faults.describe(),
-            crash_records=list(cluster.crash_log),
-            num_crash_recovered_jobs=cluster.num_crash_recovered_jobs,
-            crash_wasted_gpu_seconds=cluster.crash_wasted_gpu_seconds,
-            num_lost_messages=0 if faulty_link is None else faulty_link.num_lost,
-            num_duplicated_messages=(
-                0 if faulty_link is None else faulty_link.num_duplicated
-            ),
-            num_delayed_messages=0 if faulty_link is None else faulty_link.num_delayed,
-            num_retries=0 if channel is None else channel.num_retries,
-            num_duplicate_drops=0 if channel is None else channel.num_duplicate_drops,
-            num_late_drops=0 if channel is None else channel.num_late_drops,
-            num_messages_sent=0 if channel is None else channel.num_messages_sent,
-            num_messages_delivered=(
-                0 if channel is None else channel.num_messages_delivered
-            ),
-            num_messages_in_flight=0 if channel is None else channel.num_in_flight,
-            sends_by_kind={} if channel is None else dict(channel.sends_by_kind),
-            abandoned_by_kind=(
-                {} if channel is None else dict(channel.abandoned_by_kind)
-            ),
-            batching=cluster.batching_name,
-            num_merged_batches=(
-                0 if cluster.batcher is None else cluster.batcher.num_batches
-            ),
-            num_batched_jobs=(
-                0 if cluster.batcher is None else cluster.batcher.num_batched_jobs
-            ),
-            num_labeled_frames=sum(
-                len(job.batch) for job in cluster.completed_jobs
-            ),
-        )
-        if journal is not None:
-            journal.finish(result.fingerprint())
-        return result
-
-    def _run_federated(self, journal: object | None) -> FleetResult:
-        """Run the multi-region federation (see :mod:`repro.core.federation`).
-
-        A degenerate federation (one region, free WAN, no outages, no
-        replication) mirrors the plain path's scheduling order call for
-        call, so its journal and fingerprint are byte-identical to the
-        single-cluster run — the golden pin that keeps every
-        pre-federation result reproducible through this layer.
-        """
-        fed = self.federation
-        channel = None
-        scheduler = EventScheduler()
-        if self.faults is not None:
-            self.faults.reset()
-            channel = ReliableChannel(self.faults)
-        duration = max(
-            spec.dataset.num_frames / spec.dataset.fps for spec in self.cameras
-        )
-        fed.horizon = duration
-        # binds every region's cluster and starts its autoscale
-        # controller; the first tick (if any) keeps sequence number 0,
-        # exactly as in the plain path
+        # binds every region's cluster (creating the GPU workers and
+        # resetting reused scheduler / placement instances) and starts
+        # each region's autoscale controller; the default NoScaler
+        # schedules no ticks at all
         fed.bind(
             self.cloud,
             channel,
@@ -1156,46 +887,46 @@ class FleetSession:
         edge_actors: dict[int, EdgeActor] = {}
         streams = {}
         for camera_id, spec in enumerate(self.cameras):
-            actor, stream = self._build_camera(camera_id, spec, fed, fed.transport)
+            actor, stream = self._build_camera(camera_id, spec)
             edge_actors[camera_id] = actor
             streams[camera_id] = iter(stream)
         for region in fed.regions:
-            # no revocation process under federation (rejected at
-            # construction) — this only hands the cluster its scheduler
+            # arm each region's spot-revocation process (no-op without
+            # one): scripted traces schedule verbatim, seeded spot
+            # workers draw uptimes
             region.cluster.start_revocations(scheduler, horizon=duration)
         if self.faults is not None:
             # ONE global crash process — the federation routes each draw
-            # to the owning region so a single-region run schedules the
-            # identical event sequence the plain path would
+            # to the owning region
             for region in fed.regions:
                 region.cluster.arm_faults(self.faults)
             for time, draw in self.faults.draw_crash_times(duration):
                 scheduler.schedule(WorkerCrashEvent(time=time, victim_draw=draw))
+            # link partitions: cut/heal pairs.  The heal is always
+            # scheduled (even past the nominal horizon — the kernel
+            # drains fully), so a run never ends with a link still down
             if fed.num_regions == 1:
-                # legacy stream + default camera tag: byte-identical
-                # journal records for the degenerate pin
-                for start, end in self.faults.draw_partitions(duration):
-                    scheduler.schedule(LinkPartitionEvent(time=start))
-                    scheduler.schedule(LinkPartitionEvent(time=end, healed=True))
+                # the legacy stream with the default camera tag (region 0)
+                partitions = [
+                    (start, end, 0)
+                    for start, end in self.faults.draw_partitions(duration)
+                ]
             else:
-                for region in fed.regions:
-                    pairs = self.faults.draw_partitions_for_region(
+                partitions = [
+                    (start, end, region.index)
+                    for region in fed.regions
+                    for start, end in self.faults.draw_partitions_for_region(
                         duration, region.index
                     )
-                    for start, end in pairs:
-                        scheduler.schedule(
-                            LinkPartitionEvent(time=start, camera_id=region.index)
-                        )
-                        scheduler.schedule(
-                            LinkPartitionEvent(
-                                time=end, healed=True, camera_id=region.index
-                            )
-                        )
+                ]
+            for start, end, index in partitions:
+                scheduler.schedule(LinkPartitionEvent(time=start, camera_id=index))
+                scheduler.schedule(
+                    LinkPartitionEvent(time=end, healed=True, camera_id=index)
+                )
         outages = list(self._scripted_region_outages)
         if self.faults is not None and self.faults.injects_region_outages:
-            outages.extend(
-                self.faults.draw_region_outages(duration, fed.num_regions)
-            )
+            outages.extend(self.faults.draw_region_outages(duration, fed.num_regions))
         for start, end, region_index in outages:
             scheduler.schedule(RegionOutageEvent(time=start, region=region_index))
             scheduler.schedule(
@@ -1204,7 +935,7 @@ class FleetSession:
         interval = fed.replication_interval_seconds
         if interval is not None and interval <= duration + 1e-9:
             scheduler.schedule(ReplicationTick(time=interval))
-        kernel = SessionKernel(
+        SessionKernel(
             scheduler,
             edge_actors=edge_actors,
             cloud_actor=fed,
@@ -1213,10 +944,21 @@ class FleetSession:
             autoscaler=fed,
             channel=channel,
             journal=journal,
-        )
-        kernel.run()
+        ).run()
+        result = self._result(edge_actors, channel, duration)
+        if journal is not None:
+            journal.finish(result.fingerprint())
+        return result
 
-        clusters = [region.cluster for region in fed.regions]
+    def _result(
+        self,
+        edge_actors: dict[int, EdgeActor],
+        channel: ReliableChannel | None,
+        duration: float,
+    ) -> FleetResult:
+        """Fold every region's counters into one :class:`FleetResult`."""
+        fed = self.federation
+        clusters = fed.clusters
         rejections: dict[int, int] = {}
         migrations: dict[int, int] = {}
         for cluster in clusters:
@@ -1243,32 +985,30 @@ class FleetSession:
         queue_waits = [wait for c in clusters for wait in c.queue_waits]
         slo = fed.regions[0].autoscaler.slo_seconds
         violations = (
+            # vectorised count: same comparisons as a generator, without
+            # a Python-level pass over every job
             int(np.count_nonzero(np.asarray(queue_waits) > slo)) / len(queue_waits)
             if slo is not None and queue_waits
             else 0.0
         )
         autoscaler_names = {region.autoscaler.name for region in fed.regions}
-        scaling_events = [
-            event
-            for region in fed.regions
-            if region.controller is not None
-            for event in region.controller.events
-        ]
-        scaling_events.sort(key=lambda event: event.time)
+        scaling_events = sorted(
+            (event for region in fed.regions for event in region.controller.events),
+            key=lambda event: event.time,
+        )
         gpu_by_tier: dict[str, float] = {}
         for cluster in clusters:
             for tier, seconds in cluster.gpu_seconds_by_tier(duration).items():
                 gpu_by_tier[tier] = gpu_by_tier.get(tier, 0.0) + seconds
         faulty_links = [
-            region.link
-            for region in fed.regions
-            if isinstance(region.link, FaultySharedLink)
+            link for link in self.links if isinstance(link, FaultySharedLink)
         ]
+        batchers = [c.batcher for c in clusters if c.batcher is not None]
         region_fields: dict = {}
         if not self._degenerate:
             # region telemetry gates the fingerprint's extra block, so a
             # degenerate run (empty here) fingerprints exactly like the
-            # plain path
+            # pre-federation single-cluster run
             region_fields = {
                 "region_metrics": fed.region_metrics(duration),
                 "region_selector": fed.selector.name,
@@ -1278,7 +1018,7 @@ class FleetSession:
                 "wan_bytes": fed.wan_bytes,
                 "wan_dollar_cost": fed.wan_dollar_cost(),
             }
-        result = FleetResult(
+        return FleetResult(
             cameras=camera_results,
             queue_waits=queue_waits,
             cloud_gpu_seconds=self.cloud.total_gpu_seconds,
@@ -1290,17 +1030,13 @@ class FleetSession:
             training_waits=[wait for c in clusters for wait in c.training_waits],
             num_gpus=sum(c.num_gpus for c in clusters),
             placement=clusters[0].placement_name,
-            gpu_busy_by_worker=[
-                busy for c in clusters for busy in c.gpu_busy_by_worker
-            ],
+            gpu_busy_by_worker=[busy for c in clusters for busy in c.gpu_busy_by_worker],
             migrations_by_camera={
                 spec.name: migrations.get(camera_id, 0)
                 for camera_id, spec in enumerate(self.cameras)
             },
             autoscaler=(
-                fed.regions[0].autoscaler.name
-                if len(autoscaler_names) == 1
-                else "mixed"
+                fed.regions[0].autoscaler.name if len(autoscaler_names) == 1 else "mixed"
             ),
             scaling_events=scaling_events,
             gpu_seconds_provisioned=sum(
@@ -1319,16 +1055,10 @@ class FleetSession:
             wasted_gpu_seconds=sum(c.wasted_gpu_seconds for c in clusters),
             fault_plan="none" if self.faults is None else self.faults.describe(),
             crash_records=[rec for c in clusters for rec in c.crash_log],
-            num_crash_recovered_jobs=sum(
-                c.num_crash_recovered_jobs for c in clusters
-            ),
-            crash_wasted_gpu_seconds=sum(
-                c.crash_wasted_gpu_seconds for c in clusters
-            ),
+            num_crash_recovered_jobs=sum(c.num_crash_recovered_jobs for c in clusters),
+            crash_wasted_gpu_seconds=sum(c.crash_wasted_gpu_seconds for c in clusters),
             num_lost_messages=sum(link.num_lost for link in faulty_links),
-            num_duplicated_messages=sum(
-                link.num_duplicated for link in faulty_links
-            ),
+            num_duplicated_messages=sum(link.num_duplicated for link in faulty_links),
             num_delayed_messages=sum(link.num_delayed for link in faulty_links),
             num_retries=0 if channel is None else channel.num_retries,
             num_duplicate_drops=0 if channel is None else channel.num_duplicate_drops,
@@ -1343,17 +1073,26 @@ class FleetSession:
                 {} if channel is None else dict(channel.abandoned_by_kind)
             ),
             batching=clusters[0].batching_name,
-            num_merged_batches=sum(
-                c.batcher.num_batches for c in clusters if c.batcher is not None
-            ),
-            num_batched_jobs=sum(
-                c.batcher.num_batched_jobs for c in clusters if c.batcher is not None
-            ),
+            num_merged_batches=sum(b.num_batches for b in batchers),
+            num_batched_jobs=sum(b.num_batched_jobs for b in batchers),
             num_labeled_frames=sum(
                 len(job.batch) for c in clusters for job in c.completed_jobs
             ),
             **region_fields,
         )
-        if journal is not None:
-            journal.finish(result.fingerprint())
-        return result
+
+
+def _replay_seed_digest(part: object) -> str:
+    """sha256 of one replay-seed component, for the journal header.
+
+    Arrays hash their dtype, shape and raw bytes; the other component
+    (per-image ground-truth box lists) hashes its ``repr``, which is
+    exact for the boxes' ints and floats.
+    """
+    digest = hashlib.sha256()
+    if isinstance(part, np.ndarray):
+        digest.update(f"{part.dtype.str}{part.shape}".encode())
+        digest.update(np.ascontiguousarray(part).tobytes())
+    else:
+        digest.update(repr(part).encode())
+    return digest.hexdigest()

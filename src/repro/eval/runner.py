@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from repro.core.autoscaling import AutoscalePolicy
 from repro.core.batching import BatchPolicy, FleetBatcher
-from repro.core.cluster import CloudCluster, RevocationProcess, SchedulerSpec
+from repro.core.cluster import RevocationProcess, SchedulerSpec
 from repro.core.config import ShoggothConfig
 from repro.core.faults import FaultPlan
 from repro.core.federation import RegionSelector, RegionSpec
@@ -27,7 +27,7 @@ from repro.detection.student import StudentConfig, StudentDetector
 from repro.detection.teacher import TeacherConfig, TeacherDetector
 from repro.eval.results import StrategyRunResult, format_dollars
 from repro.runtime.metrics import reduce_metric
-from repro.network.link import LinkConfig, SharedLink
+from repro.network.link import LinkConfig
 from repro.video.datasets import DatasetSpec
 
 __all__ = [
@@ -362,13 +362,11 @@ def run_fleet(
     settings: ExperimentSettings | None = None,
     teacher_config: TeacherConfig | None = None,
     config: ShoggothConfig | None = None,
-    link: SharedLink | None = None,
     link_config: LinkConfig | None = None,
     batch_overhead_seconds: float = 0.02,
     scheduler: SchedulerSpec = None,
     num_gpus: int = 1,
     placement: PlacementPolicy | str | None = None,
-    cluster: CloudCluster | None = None,
     autoscaler: AutoscalePolicy | str | None = None,
     worker_specs: WorkerSpec | list[WorkerSpec] | None = None,
     revocations: RevocationProcess | None = None,
@@ -391,7 +389,7 @@ def run_fleet(
     shared is the ``scheduler`` policy (FIFO merged-batch by default;
     see :mod:`repro.core.scheduling`), which
     ``benchmarks/bench_scheduler_policies.py`` compares; ``num_gpus``
-    and ``placement`` — or a ready ``cluster`` — shard the cloud into a
+    and ``placement`` shard the cloud into a
     :class:`~repro.core.cluster.CloudCluster`, which
     ``benchmarks/bench_cloud_sharding.py`` scales; ``autoscaler``
     (``"none"`` default, ``"slo"``, ``"step"`` or a policy instance)
@@ -414,8 +412,11 @@ def run_fleet(
     ``region_selector`` / ``region_outages`` /
     ``replication_interval_seconds`` / ``failover``) federates the
     cloud across WAN-profiled regions with cross-region failover,
-    which ``benchmarks/bench_federation.py`` measures — see
-    ``docs/federation.md``; and
+    which ``benchmarks/bench_federation.py`` measures — each
+    ``RegionSpec`` then carries its own cluster knobs, spot
+    revocations included, and the default ``regions=None`` is one
+    free-WAN region built from the knobs above (see
+    ``docs/federation.md``); and
     ``journal`` records the run into an
     :class:`~repro.runtime.journal.EventJournal` for determinism
     checks and replay.  Exporting ``REPRO_PROFILE=1`` wraps the
@@ -437,14 +438,12 @@ def run_fleet(
         student=student,
         teacher=teacher,
         config=config or settings.shoggoth_config(),
-        link=link,
         link_config=link_config,
         replay_seed=replay_seed,
         batch_overhead_seconds=batch_overhead_seconds,
         scheduler=scheduler,
         num_gpus=num_gpus,
         placement=placement,
-        cluster=cluster,
         autoscaler=autoscaler,
         worker_specs=worker_specs,
         revocations=revocations,

@@ -188,7 +188,9 @@ class RevocationEvent(Event):
     """A preemptible (spot) GPU worker's capacity is revoked right now.
 
     Scheduled by the cluster's revocation process (a seeded draw per
-    spot worker, or a scripted trace) and handled by
+    spot worker, or a scripted trace), routed back to that cluster by
+    :meth:`~repro.core.federation.Federation.on_revocation` (worker ids
+    are region-local) and handled by
     :meth:`~repro.core.cluster.CloudCluster.on_revocation`: the worker
     retires immediately, its in-flight busy period is killed
     (checkpoint-resumed or re-labeled from scratch, per the cluster's
@@ -208,9 +210,9 @@ class RevocationEvent(Event):
 class WorkerCrashEvent(Event):
     """A GPU worker crashes mid-handler right now (fault injection).
 
-    Scheduled by :meth:`~repro.core.cluster.CloudCluster.start_faults`
-    from the :class:`~repro.core.faults.FaultPlan`'s seeded crash
-    process and handled by
+    Scheduled by :meth:`~repro.core.fleet.FleetSession.run` from the
+    :class:`~repro.core.faults.FaultPlan`'s seeded crash process, routed
+    by :meth:`~repro.core.federation.Federation.on_crash` and handled by
     :meth:`~repro.core.cluster.CloudCluster.on_crash`: the victim's
     in-flight busy period is killed mid-service, its jobs are re-placed
     on the survivors, and the supervisor restarts a replacement worker

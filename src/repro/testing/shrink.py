@@ -97,11 +97,11 @@ def check_invariants(session, result) -> str | None:
     failure signature naming the first broken law — the same laws the
     chaos suite asserts (message conservation, upload conservation,
     exactly-once completion, crash supervision, capacity conservation,
-    never-reused worker ids, and — for federated sessions — dollar-cost
-    closure across compute and WAN egress), packaged so the shrinker
-    and the regression replayer agree exactly on what "fails" means.
-    Per-cluster laws run over ``session.clusters`` (one entry for a
-    plain session, one per region for a federated one).
+    never-reused worker ids, and dollar-cost closure across compute
+    and WAN egress), packaged so the shrinker and the regression
+    replayer agree exactly on what "fails" means.  Per-cluster laws
+    run over ``session.clusters`` (one per region; a ``regions=None``
+    session has one).
     """
     if result.num_messages_in_flight != 0:
         return "messages_outstanding"
@@ -159,13 +159,12 @@ def check_invariants(session, result) -> str | None:
         ids = [worker.worker_id for worker in cluster.workers]
         if ids != list(range(len(cluster.workers))):
             return "worker_id_reuse"
-    if getattr(session, "federation", None) is not None:
-        federation = session.federation
-        expected = federation.compute_dollar_cost(
-            result.duration_seconds
-        ) + federation.wan_dollar_cost()
-        if abs(result.dollar_cost - expected) > 1e-6 * max(1.0, expected):
-            return "cost_closure"
+    federation = session.federation
+    expected = federation.compute_dollar_cost(
+        result.duration_seconds
+    ) + federation.wan_dollar_cost()
+    if abs(result.dollar_cost - expected) > 1e-6 * max(1.0, expected):
+        return "cost_closure"
     return None
 
 

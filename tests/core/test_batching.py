@@ -442,9 +442,3 @@ class TestBatchedDeterminism:
         assert b'"batching"' in first.serialize()  # meta records the policy
         report = first.replay(build)
         assert not report.halted and report.events_checked == first.num_events
-
-    def test_batching_knob_is_incompatible_with_a_ready_cluster(self):
-        from repro.core.cluster import CloudCluster
-
-        with pytest.raises(ValueError, match="batching"):
-            make_mixed_fleet(cluster=CloudCluster(num_gpus=2), batching="greedy")

@@ -204,26 +204,13 @@ class TestClusterConstruction:
         assert cluster.placement_name == "round_robin"
 
     def test_cluster_binds_only_once(self, student, teacher):
-        cluster = CloudCluster(num_gpus=2)
-        first = FleetSession(
+        session = FleetSession(
             [CameraSpec("a", build_dataset("detrac", num_frames=120))],
-            student=student, teacher=teacher, config=small_config(), cluster=cluster,
+            student=student, teacher=teacher, config=small_config(), num_gpus=2,
         )
-        first.run()
-        second = FleetSession(
-            [CameraSpec("a", build_dataset("detrac", num_frames=120))],
-            student=student, teacher=teacher, config=small_config(), cluster=cluster,
-        )
+        session.run()
         with pytest.raises(RuntimeError, match="already bound"):
-            second.run()
-
-    def test_session_rejects_conflicting_cluster_and_knobs(self, student, teacher):
-        cameras = [CameraSpec("a", build_dataset("detrac", num_frames=120))]
-        with pytest.raises(ValueError, match="not both"):
-            FleetSession(
-                cameras, student=student, teacher=teacher,
-                cluster=CloudCluster(num_gpus=2), num_gpus=2,
-            )
+            session.cluster.bind(session.cloud, session.federation.transport)
 
 
 class TestCameraSpecValidation:
@@ -296,7 +283,7 @@ def make_sharded_fleet(
 
 class TestGoldenOneWorkerCluster:
     def test_one_gpu_cluster_reproduces_pr2_fleet_bit_for_bit(self):
-        """An explicit 1-worker CloudCluster with round-robin placement
+        """An explicit 1-worker cluster with round-robin placement
         and the default FIFO scheduler must be indistinguishable from the
         PR 2 single-GPU fleet — including the final student weights."""
         import numpy as np
@@ -306,8 +293,7 @@ class TestGoldenOneWorkerCluster:
             student=StudentDetector(StudentConfig(seed=5)),
             teacher=TeacherDetector(TeacherConfig(seed=9)),
             config=small_config(),
-            cluster=CloudCluster(num_gpus=1, placement="round_robin",
-                                 scheduler=FifoScheduler()),
+            num_gpus=1, placement="round_robin", scheduler=FifoScheduler(),
         ).run()
         golden = PR1_GOLDEN
         assert cluster_result.scheduler == "fifo"

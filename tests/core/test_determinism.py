@@ -251,3 +251,39 @@ def test_replay_rejects_a_differently_configured_session():
     build_fleet().run(journal=journal)
     with pytest.raises(JournalDivergence, match="configured differently"):
         journal.replay(lambda: build_fleet(chaos_plan()))
+
+
+def test_default_settings_run_records_and_replays_a_journal():
+    """Replay seeding is on by default: the journal header must pin the
+    seed data by digest (raw arrays are not JSON) and still replay."""
+    from repro.detection.pretrain import generate_offline_dataset
+    from repro.eval import ExperimentSettings, run_fleet
+    from repro.runtime.journal import JournalDivergence
+
+    settings = ExperimentSettings()
+    assert settings.replay_seed_images > 0
+    cameras = build_cameras(
+        2, 60, datasets=["detrac", "kitti"], strategies=["shoggoth", "ams"],
+        seed_base=SEED,
+    )
+    student = StudentDetector(StudentConfig(seed=5))
+    journal = EventJournal()
+    live = run_fleet(cameras, student, settings=settings, journal=journal)
+    digests = journal.meta["replay_seed"]
+    assert len(digests) == 2 and all(len(d) == 64 for d in digests)
+
+    def build(images: int = settings.replay_seed_images) -> FleetSession:
+        return FleetSession(
+            cameras,
+            student=student,
+            teacher=TeacherDetector(TeacherConfig(seed=settings.seed + 7)),
+            config=settings.shoggoth_config(),
+            replay_seed=generate_offline_dataset(images, seed=settings.seed + 900),
+        )
+
+    report = EventJournal.deserialize(journal.serialize()).replay(build)
+    assert not report.halted
+    assert fleet_fingerprint(report.result) == fleet_fingerprint(live.fleet)
+    # different seed data is a different configuration
+    with pytest.raises(JournalDivergence, match="configured differently"):
+        journal.replay(lambda: build(settings.replay_seed_images + 1))

@@ -284,16 +284,3 @@ def test_reliable_channel_dedup_and_abandonment():
     # a stale timer (attempt number superseded) is ignored
     channel.on_timer(first_timer, scheduler)
     assert channel.num_retries == 1
-
-
-def test_fault_plan_and_explicit_link_are_mutually_exclusive(fleet_factory):
-    from repro.network.link import SharedLink
-
-    with pytest.raises(ValueError, match="not both"):
-        fleet_factory(
-            n_cameras=1,
-            num_frames=30,
-            datasets=["detrac"],
-            link=SharedLink(),
-            faults=FaultPlan(seed=0),
-        )

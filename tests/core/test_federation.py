@@ -2,11 +2,13 @@
 
 The contract under test, in order of importance:
 
-* **golden pin** — ``regions=None`` is untouched by the federation
-  layer, and a *degenerate* federation (one region, free WAN, no
-  outages, no replication) reproduces the plain single-cluster run
+* **golden pin** — ``regions=None`` is sugar for one free-WAN region,
+  and a *degenerate* federation (one region, free WAN, no outages, no
+  replication) written out as a ``RegionSpec`` reproduces it
   **bit-for-bit**: same :meth:`~repro.core.fleet.FleetResult.fingerprint`,
-  byte-identical journal — with and without chaos;
+  byte-identical journal — with and without chaos or spot revocations
+  (the pre-federation goldens in ``test_scheduling.py``,
+  ``test_cluster.py`` and ``test_determinism.py`` anchor that run);
 * **region selection** — each :class:`~repro.core.federation.RegionSelector`
   homes cameras by its objective, above the per-cluster placement;
 * **cross-region failover** — a scripted
@@ -16,6 +18,8 @@ The contract under test, in order of importance:
   capacity (append-only worker ids throughout);
 * **replication** — the periodic weight broadcast bills WAN egress and
   hands a migrated camera a near-fresh student;
+* **per-region spot revocations** — each region's revocation process
+  kills only its own spot workers;
 * **accounting closure** — the billed dollar total is exactly
   per-region compute plus per-link WAN egress.
 """
@@ -26,6 +30,8 @@ import numpy as np
 import pytest
 
 from repro.core import FaultPlan, FleetSession
+from repro.core.autoscaling import SloScaler
+from repro.core.cluster import RevocationProcess
 from repro.core.federation import (
     SELECTORS,
     CheapestSelector,
@@ -36,7 +42,7 @@ from repro.core.federation import (
     StickyFailoverSelector,
     build_selector,
 )
-from repro.core.scheduling import WORKER_TIERS
+from repro.core.scheduling import WORKER_TIERS, FifoScheduler
 from repro.detection import (
     StudentConfig,
     StudentDetector,
@@ -46,6 +52,7 @@ from repro.detection import (
 from repro.eval import fleet_fingerprint
 from repro.network.link import WanProfile
 from repro.runtime.journal import EventJournal
+from repro.testing import check_invariants
 from repro.testing.scenarios import build_cameras, small_fleet_config
 
 NEAR = WanProfile(rtt_seconds=0.02, cost_per_gb=0.08)
@@ -116,6 +123,70 @@ def test_degenerate_federation_pin_holds_under_chaos():
     assert fleet_fingerprint(plain) == fleet_fingerprint(federated)
     assert plain_journal.serialize() == fed_journal.serialize()
     assert plain.num_messages_sent > 0  # the chaos actually ran
+
+
+SPOT = WORKER_TIERS["spot"]
+
+
+def test_degenerate_pin_holds_with_spot_revocations():
+    """``regions=None`` with spot workers and a scripted revocation trace
+    is the same run as that configuration written as one RegionSpec."""
+    def trace():
+        return RevocationProcess(trace=[(0.8, 1), (1.6, 0)])
+
+    plain_journal, fed_journal = EventJournal(), EventJournal()
+    plain = build_fleet(
+        num_gpus=2, worker_specs=SPOT, revocations=trace(),
+        revocation_mode="checkpoint",
+    ).run(journal=plain_journal)
+    federated = build_fleet(
+        regions=[
+            RegionSpec(
+                name="solo", num_gpus=2, worker_specs=SPOT, revocations=trace(),
+                revocation_mode="checkpoint",
+            )
+        ]
+    ).run(journal=fed_journal)
+    assert plain.num_revocations == 2  # the trace actually hit
+    assert fleet_fingerprint(plain) == fleet_fingerprint(federated)
+    assert plain_journal.serialize() == fed_journal.serialize()
+
+
+def test_revocations_land_in_their_own_region():
+    """Scripted traces name region-local worker ids: each revocation is
+    routed to the cluster whose process scheduled it."""
+    near_trace = [(1.0, 0)]
+    far_trace = [(0.5, 1), (1.5, 0)]
+    session = build_fleet(
+        n_cameras=4,
+        num_frames=90,
+        regions=[
+            RegionSpec(
+                name="near", wan=NEAR, num_gpus=2, worker_specs=SPOT,
+                revocations=RevocationProcess(trace=near_trace),
+            ),
+            RegionSpec(
+                name="far", wan=FAR, num_gpus=2, worker_specs=SPOT,
+                revocations=RevocationProcess(trace=far_trace),
+                revocation_mode="checkpoint",
+            ),
+        ],
+        region_selector="least_loaded",
+        # fault-free plan: the reliable channel the invariant oracle's
+        # message-conservation laws read from
+        faults=FaultPlan(seed=1),
+    )
+    result = session.run()
+    near, far = session.clusters
+    assert [(r.time, r.worker_id) for r in near.revocation_log] == near_trace
+    assert [(r.time, r.worker_id) for r in far.revocation_log] == far_trace
+    assert {r.mode for r in near.revocation_log} == {"relabel"}
+    assert {r.mode for r in far.revocation_log} == {"checkpoint"}
+    # both far workers were revoked: an emergency on-demand worker
+    # kept the region serving
+    assert far.revocation_log[-1].emergency_worker_id == 2
+    assert result.num_revocations == 3
+    assert check_invariants(session, result) is None
 
 
 def test_degenerate_requires_free_wan():
@@ -411,3 +482,53 @@ def test_federation_validation_errors():
     with pytest.raises(ValueError):
         # outage interval must be ordered
         build_fleet(regions=two_regions(), region_outages=[(2.0, 1.0, 0)])
+    # per-region growth checks: a region that must add workers mid-run
+    # but was built around one GpuScheduler instance is refused at
+    # construction, in every region
+    with pytest.raises(ValueError, match="'r'.*cannot add workers"):
+        FleetSession(
+            build_cameras(12, 120, strategies=["shoggoth"]),
+            student=StudentDetector(StudentConfig(seed=5)),
+            teacher=TeacherDetector(TeacherConfig(seed=9)),
+            config=small_fleet_config(),
+            regions=[
+                RegionSpec(
+                    name="r",
+                    scheduler=FifoScheduler(),
+                    autoscaler=SloScaler(slo_seconds=0.001),
+                )
+            ],
+        )
+    with pytest.raises(ValueError, match="'far'.*provision replacements"):
+        Federation(
+            [
+                RegionSpec(name="near", wan=NEAR),
+                RegionSpec(
+                    name="far", wan=FAR, scheduler=FifoScheduler(), worker_specs=SPOT,
+                    revocations=RevocationProcess(mean_uptime_seconds=5.0),
+                ),
+            ]
+        )
+    with pytest.raises(ValueError, match="crash recovery"):
+        Federation(
+            [RegionSpec(name="a", scheduler=FifoScheduler())],
+            faults=FaultPlan(seed=0, mean_time_between_crashes=4.0),
+        )
+    with pytest.raises(ValueError, match="set num_gpus >= min_gpus"):
+        Federation(
+            [RegionSpec(name="a", autoscaler=SloScaler(min_gpus=2, max_gpus=4))]
+        )
+    # growth needs a recipe only when something can trigger it
+    Federation([RegionSpec(name="a", scheduler=FifoScheduler())])
+    Federation(
+        [RegionSpec(name="a", scheduler=FifoScheduler(), worker_specs=SPOT)],
+        faults=FaultPlan(seed=0),
+    )
+    Federation(
+        [
+            RegionSpec(
+                name="a", scheduler=FifoScheduler, worker_specs=SPOT,
+                revocations=RevocationProcess(mean_uptime_seconds=5.0),
+            )
+        ]
+    )

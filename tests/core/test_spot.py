@@ -226,29 +226,10 @@ class TestClusterSpecConstruction:
                 student=StudentDetector(StudentConfig(seed=5)),
                 teacher=TeacherDetector(TeacherConfig(seed=9)),
                 config=small_config(),
-                cluster=CloudCluster(
-                    num_gpus=1,
-                    scheduler=FifoScheduler(),
-                    worker_specs=SPOT,
-                    revocations=RevocationProcess(mean_uptime_seconds=5.0),
-                ),
-            )
-
-    def test_cluster_knobs_conflict_with_ready_cluster(self):
-        cameras = [CameraSpec("a", build_dataset("detrac", num_frames=120))]
-        student = StudentDetector(StudentConfig(seed=5))
-        teacher = TeacherDetector(TeacherConfig(seed=9))
-        with pytest.raises(ValueError, match="not both"):
-            FleetSession(
-                cameras, student=student, teacher=teacher,
-                cluster=CloudCluster(num_gpus=2), worker_specs=SPOT,
-            )
-        # revocation_mode is a cluster knob too: silently ignoring it
-        # next to a ready cluster would skew recovery comparisons
-        with pytest.raises(ValueError, match="not both"):
-            FleetSession(
-                cameras, student=student, teacher=teacher,
-                cluster=CloudCluster(num_gpus=2), revocation_mode="checkpoint",
+                num_gpus=1,
+                scheduler=FifoScheduler(),
+                worker_specs=SPOT,
+                revocations=RevocationProcess(mean_uptime_seconds=5.0),
             )
 
 

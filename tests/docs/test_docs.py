@@ -169,3 +169,62 @@ def test_benchmarks_index_covers_every_script():
         if str(script.relative_to(REPO)) not in index
     ]
     assert not missing, f"docs/benchmarks.md does not index: {missing}"
+
+
+# ---------------------------------------------------------------------------
+# declared dependencies
+# ---------------------------------------------------------------------------
+def requirement_names() -> set[str]:
+    """Import names of the packages ``requirements.txt`` installs."""
+    names = set()
+    for line in (REPO / "requirements.txt").read_text().splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line:
+            name = re.split(r"[\s<>=!~;\[]", line, maxsplit=1)[0]
+            names.add(name.lower().replace("-", "_"))
+    return names
+
+
+def is_local_module(name: str, script: Path) -> bool:
+    """A module next to ``script`` or at the repo root (both on sys.path)."""
+    return any(
+        (base / f"{name}.py").exists() or (base / name).is_dir()
+        for base in (script.parent, REPO)
+    )
+
+
+IMPORTING_SCRIPTS = sorted(
+    path
+    for root in ("tests", "benchmarks", "examples")
+    for path in (REPO / root).rglob("*.py")
+)
+
+
+def test_third_party_imports_are_declared():
+    """Every import in tests/benchmarks/examples is stdlib, ``repro``,
+    a local module, or installed by ``requirements.txt`` — the only
+    file CI installs from, so an undeclared import fails collection
+    on a clean environment."""
+    import sys
+
+    declared = requirement_names()
+    undeclared = []
+    for script in IMPORTING_SCRIPTS:
+        for node in ast.walk(ast.parse(script.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                name = module.split(".")[0]
+                if (
+                    name in sys.stdlib_module_names
+                    or name == "repro"
+                    or name.lower() in declared
+                    or is_local_module(name, script)
+                ):
+                    continue
+                undeclared.append(f"{script.relative_to(REPO)}: {name}")
+    assert not undeclared, f"imports missing from requirements.txt: {undeclared}"
