@@ -36,11 +36,12 @@ How messages travel between them is a :class:`Transport` policy:
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from repro.core.adaptive_training import AdaptiveTrainer
+from repro.core.adaptive_training import AdaptiveTrainer, ReplaySeed
 from repro.core.cloud import CloudServer, CloudTrainingResult, LabelingResponse
 from repro.core.config import ShoggothConfig
 from repro.core.edge import EdgeDevice
@@ -463,7 +464,7 @@ class CloudActor:
         controller: SamplingRateController | None = None,
         use_server_trainer: bool = False,
         seed: int = 0,
-        replay_seed: tuple | None = None,
+        replay_seed: ReplaySeed | None = None,
         weight: float = 1.0,
     ) -> None:
         """Attach one camera; fleet tenants get their own schedule/controller.
@@ -471,7 +472,10 @@ class CloudActor:
         Tenants whose options train in the cloud (AMS) and do not use the
         server's built-in trainer get a cloud-resident copy of their
         student and a dedicated trainer, mirroring
-        :meth:`CloudServer.attach_cloud_student` per tenant.
+        :meth:`CloudServer.attach_cloud_student` per tenant.  The copy is
+        cloned from the edge student as it is now, so a tenant registered
+        again after a migration seeds its replay memory from the weights
+        the camera has moved to.
         """
         tenant = _Tenant(
             actor=actor,
@@ -486,7 +490,7 @@ class CloudActor:
                 tenant.student, actor.config.training, seed=seed
             )
             if replay_seed is not None:
-                tenant.trainer.seed_replay(*replay_seed)
+                replay_seed.seed(tenant.trainer)
         self.tenants[actor.camera_id] = tenant
         self.gpu_seconds_by_camera.setdefault(actor.camera_id, 0.0)
         self.scheduler.register_tenant(actor.camera_id, weight=weight)
@@ -900,7 +904,9 @@ class EdgeActor:
     ) -> None:
         self.camera_id = camera_id
         self.edge = edge
-        self.cloud_actor = cloud_actor
+        # weak: the cloud side keeps its tenants' actors, so a strong
+        # reference back would make every session a reference cycle
+        self.cloud_actor = weakref.proxy(cloud_actor)
         self.teacher = teacher
         self.options = options
         self.config = config
@@ -1142,22 +1148,13 @@ class SessionKernel:
         # exact-type dispatch table: one dict lookup per event instead of
         # an isinstance chain (the chain cost ~7 checks for the rarest
         # event types, millions of times per fleet run); subclasses fall
-        # back to _resolve_handler once and are then cached by type
-        self._handlers: dict[type, Callable[[Event], None]] = {
-            FrameArrival: self._handle_frame,
-            UploadComplete: self._handle_upload,
-            LabelingDone: self._handle_labeling_done,
-            LabelsReady: self._handle_labels,
-            ModelDownloadComplete: self._handle_model_download,
-            TrainingDone: self._handle_training_done,
-            AutoscaleTick: self._handle_autoscale,
-            BatchTimeout: self._handle_batch_timeout,
-            RevocationEvent: self._handle_revocation,
-            WorkerCrashEvent: self._handle_crash,
-            LinkPartitionEvent: self._handle_link_partition,
-            RetryTimer: self._handle_retry_timer,
-            RegionOutageEvent: self._handle_region_outage,
-            ReplicationTick: self._handle_replication_tick,
+        # back to _resolve_handler once and are then cached by type.  It
+        # holds the class's functions, not bound methods: bound methods
+        # would make every kernel a reference cycle that pins its actors
+        # (and their students) until the cyclic GC runs
+        self._handlers: dict[type, Callable[[SessionKernel, Event], None]] = {
+            event_type: getattr(type(self), name)
+            for event_type, name in _HANDLER_NAMES.items()
         }
 
     def _schedule_next_frame(self, camera_id: int) -> None:
@@ -1188,9 +1185,11 @@ class SessionKernel:
         handler = self._handlers.get(type(event))
         if handler is None:
             handler = self._resolve_handler(event)
-        handler(event)
+        handler(self, event)
 
-    def _resolve_handler(self, event: Event) -> "Callable[[Event], None]":
+    def _resolve_handler(
+        self, event: Event
+    ) -> "Callable[[SessionKernel, Event], None]":
         """isinstance fallback for Event subclasses; caches the concrete type."""
         for event_type, handler in list(self._handlers.items()):
             if isinstance(event, event_type):
@@ -1311,3 +1310,22 @@ class SessionKernel:
                 "is not a federation"
             )
         on_replication_tick(event, self.scheduler)
+
+
+#: which :class:`SessionKernel` method handles each event type
+_HANDLER_NAMES: dict[type, str] = {
+    FrameArrival: "_handle_frame",
+    UploadComplete: "_handle_upload",
+    LabelingDone: "_handle_labeling_done",
+    LabelsReady: "_handle_labels",
+    ModelDownloadComplete: "_handle_model_download",
+    TrainingDone: "_handle_training_done",
+    AutoscaleTick: "_handle_autoscale",
+    BatchTimeout: "_handle_batch_timeout",
+    RevocationEvent: "_handle_revocation",
+    WorkerCrashEvent: "_handle_crash",
+    LinkPartitionEvent: "_handle_link_partition",
+    RetryTimer: "_handle_retry_timer",
+    RegionOutageEvent: "_handle_region_outage",
+    ReplicationTick: "_handle_replication_tick",
+}

@@ -35,7 +35,7 @@ from repro.nn.optim import SGD
 from repro.runtime.device import TrainingCost, TrainingCostModel
 from repro.video.scene import GroundTruthBox
 
-__all__ = ["TrainingSessionReport", "AdaptiveTrainer"]
+__all__ = ["TrainingSessionReport", "AdaptiveTrainer", "ReplaySeed"]
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,12 @@ class AdaptiveTrainer:
             else:
                 layer.set_lr_scale(self.config.front_lr_scale)
 
-    def seed_replay(self, images: np.ndarray, labels: list[list[GroundTruthBox]]) -> int:
+    def seed_replay(
+        self,
+        images: np.ndarray,
+        labels: list[list[GroundTruthBox]],
+        shared: dict[tuple[str, str], tuple[ReplayItem, ...]] | None = None,
+    ) -> int:
         """Pre-populate the replay memory from offline (deployment-time) data.
 
         The paper's Algorithm 1 starts with an empty memory that fills from
@@ -127,14 +132,31 @@ class AdaptiveTrainer:
         a sample of the offline training distribution stands in for the long
         history an established deployment would already hold.  Returns the
         number of items stored.
+
+        The stored items are read-only.  ``shared`` maps (replay layer,
+        :meth:`~repro.detection.student.StudentDetector.state_digest`) to
+        the items derived from these same images and labels: a trainer
+        whose student is in a state already there stores those items
+        instead of running the forward pass again; otherwise it derives
+        them and adds them.  See :class:`ReplaySeed`.
         """
         if images.shape[0] != len(labels):
             raise ValueError("images and labels must have the same length")
-        targets = self.student.codec.encode_batch(labels)
-        items = self._make_replay_items(images, targets, self.config.replay_layer)
+        shared = {} if shared is None else shared
+        cut = self.config.replay_layer
+        key = (cut, self.student.state_digest())
+        items = shared.get(key)
+        if items is None:
+            targets = self.student.codec.encode_batch(labels)
+            for target in targets:
+                for array in (target.objectness, target.class_ids, target.boxes):
+                    array.flags.writeable = False
+            items = shared[key] = tuple(self._make_replay_items(images, targets, cut))
+        elif cut != "input":
+            # the mode deriving them leaves a student in
+            self.student.model.eval()
         space = self.replay.capacity - len(self.replay)
-        for item in items[:space]:
-            self.replay.items.append(item)
+        self.replay.items.extend(items[:space])
         return min(len(items), space)
 
     # -- mini-batch composition -------------------------------------------
@@ -262,15 +284,36 @@ class AdaptiveTrainer:
     def _make_replay_items(
         self, images: np.ndarray, targets: list[GridTargets], cut: str
     ) -> list[ReplayItem]:
-        """Materialise replay items (latent activations or raw images)."""
+        """Materialise read-only replay items (latent activations or raw images)."""
         if cut == "input":
-            return [
-                ReplayItem(activation=images[i].copy(), targets=targets[i])
-                for i in range(images.shape[0])
-            ]
-        self.student.model.eval()
-        latents = self.student.model.forward_until(images, cut)
+            latents = images.copy()
+        else:
+            self.student.model.eval()
+            latents = self.student.model.forward_until(images, cut)
+        latents.flags.writeable = False
         return [
             ReplayItem(activation=latents[i], targets=targets[i])
             for i in range(images.shape[0])
         ]
+
+
+class ReplaySeed:
+    """Offline replay-seed data whose replay items are derived once per run.
+
+    Every trainer of a fleet is seeded from the same images and labels,
+    and most start from the same weights, so their seed forwards would
+    all compute the same latents.  :meth:`seed` passes one shared map to
+    :meth:`AdaptiveTrainer.seed_replay`: the first trainer per (replay
+    layer, exact student state) does the work and the others store its
+    read-only items.  A student whose weights have moved since (a
+    migrated cloud tenant cloned from a trained edge) computes its own.
+    """
+
+    def __init__(self, images: np.ndarray, labels: list[list[GroundTruthBox]]) -> None:
+        self.images = images
+        self.labels = labels
+        self._items: dict[tuple[str, str], tuple[ReplayItem, ...]] = {}
+
+    def seed(self, trainer: AdaptiveTrainer) -> int:
+        """Seed ``trainer``'s replay memory; returns the number of items stored."""
+        return trainer.seed_replay(self.images, self.labels, shared=self._items)

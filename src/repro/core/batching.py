@@ -51,6 +51,7 @@ measurement this layer exists for.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from typing import TYPE_CHECKING, Sequence
 
@@ -374,8 +375,12 @@ class FleetBatcher:
         return self.num_batched_jobs / self.num_batches if self.num_batches else 0.0
 
     def bind(self, cluster) -> "FleetBatcher":
-        """Attach to a (duck-typed) cluster and reset per-run state."""
-        self.cluster = cluster
+        """Attach to a (duck-typed) cluster and reset per-run state.
+
+        The batcher holds the cluster weakly: the cluster owns it, and a
+        strong reference back would pin both until the cyclic GC runs.
+        """
+        self.cluster = weakref.proxy(cluster)
         self.policy.reset()
         self.pending.clear()
         self._due = False

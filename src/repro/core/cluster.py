@@ -68,6 +68,7 @@ trades against queue delay.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -75,6 +76,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.core.actors import CloudActor, InstantTransport, SharedLinkTransport
+from repro.core.adaptive_training import ReplaySeed
 from repro.core.batching import BatchPolicy, FleetBatcher, build_batcher
 from repro.core.cloud import CloudServer
 from repro.core.faults import CrashRecord, FaultPlan
@@ -468,7 +470,7 @@ class CloudCluster:
                     # that happened to label it: broadcast every
                     # measurement so no shard's φ-aware scheduler treats
                     # an already-measured camera as unmeasured drift
-                    label_observer=self._broadcast_label,
+                    label_observer=self._label_observer(),
                     spec=self.worker_specs[worker_id],
                 )
             )
@@ -525,6 +527,20 @@ class CloudCluster:
         """Whether this cluster scheduled ``event`` (identity, not equality)."""
         return self._armed_revocations.get(id(event)) is event
 
+    def _label_observer(self) -> Callable[[int, float, float], None]:
+        """:meth:`_broadcast_label` for a worker, without the worker owning us.
+
+        The cluster owns its workers; a strong reference back would make
+        every cluster a reference cycle that only the cyclic GC frees.
+        """
+        broadcast = weakref.WeakMethod(self._broadcast_label)
+
+        def observe(camera_id: int, phi: float, now: float) -> None:
+            """Forward one worker's φ measurement to every shard."""
+            broadcast()(camera_id, phi, now)
+
+        return observe
+
     def _broadcast_label(self, camera_id: int, phi: float, now: float) -> None:
         self._last_phi[camera_id] = (phi, now)
         for scheduler in self.schedulers:
@@ -539,7 +555,7 @@ class CloudCluster:
         controller: SamplingRateController | None = None,
         use_server_trainer: bool = False,
         seed: int = 0,
-        replay_seed: tuple | None = None,
+        replay_seed: ReplaySeed | None = None,
         weight: float = 1.0,
     ) -> None:
         """Attach one camera to every worker (shared tenant, per-GPU weights)."""
@@ -609,7 +625,7 @@ class CloudCluster:
             worker_id=len(self.workers),
             tenants=self.tenants,
             gpu_seconds_by_camera=self.gpu_seconds_by_camera,
-            label_observer=self._broadcast_label,
+            label_observer=self._label_observer(),
             spec=spec,
         )
         worker.provisioned_since = now

@@ -47,6 +47,7 @@ single-cluster runs recorded before federations existed.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -405,7 +406,8 @@ class FederatedTransport:
     """
 
     def __init__(self, federation: "Federation") -> None:
-        self.federation = federation
+        # weak: the federation owns this transport (no reference cycle)
+        self.federation = weakref.proxy(federation)
 
     # -- sending (route by the camera's current home) -----------------------
     def send_upload(self, scheduler, actor, upload, batch, alpha, lambda_usage, now):

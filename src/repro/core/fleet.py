@@ -31,13 +31,14 @@ Every camera still produces a full per-camera
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from repro.core.actors import EdgeActor, SessionKernel
-from repro.core.adaptive_training import AdaptiveTrainer
+from repro.core.adaptive_training import AdaptiveTrainer, ReplaySeed
 from repro.core.autoscaling import AutoscalePolicy, ScalingEvent
 from repro.core.cloud import CloudServer
 from repro.core.batching import BatchPolicy, FleetBatcher
@@ -719,8 +720,12 @@ class FleetSession:
         return self.federation.regions[0].cluster
 
     def _build_camera(
-        self, camera_id: int, spec: CameraSpec
-    ) -> tuple[EdgeActor, "VideoStream"]:
+        self,
+        camera_id: int,
+        spec: CameraSpec,
+        stream: VideoStream,
+        replay_seed: ReplaySeed | None,
+    ) -> EdgeActor:
         options = spec.resolve_options()
         cfg = resolve_session_config(spec.config or self.config, options)
         student = self.student.clone()
@@ -728,8 +733,8 @@ class FleetSession:
         trainer = None
         if options.adapt and options.train_location == "edge":
             trainer = AdaptiveTrainer(student, cfg.training, seed=spec.seed)
-            if self.replay_seed is not None:
-                trainer.seed_replay(*self.replay_seed)
+            if replay_seed is not None:
+                replay_seed.seed(trainer)
         edge = EdgeDevice(
             student,
             config=cfg,
@@ -737,7 +742,6 @@ class FleetSession:
             trainer=trainer,
             seed=spec.seed,
         )
-        stream = spec.dataset.build()
         fed = self.federation
         actor = EdgeActor(
             camera_id=camera_id,
@@ -757,14 +761,14 @@ class FleetSession:
             schedule=spec.dataset.schedule,
             controller=SamplingRateController(cfg.sampling),
             seed=spec.seed,
-            replay_seed=self.replay_seed,
+            replay_seed=replay_seed,
             weight=spec.weight,
         )
         # link_config only feeds derived (counterfactual) traces, so
         # re-pointing it at the camera's selected home region after
         # registration changes no event timing
         actor.link_config = fed.region_of(camera_id).link.config
-        return actor, stream
+        return actor
 
     def _journal_meta(self) -> dict:
         """The run's full configuration, as canonical-JSON-safe data.
@@ -884,12 +888,26 @@ class FleetSession:
             horizon=duration,
             scheduler=scheduler,
         )
-        edge_actors: dict[int, EdgeActor] = {}
-        streams = {}
+        # cameras on equal dataset specs play identical frames: render
+        # each distinct stream once and tee it to every camera playing it
+        # (equal specs share an fps, so the tee buffers about one frame)
+        players: dict[DatasetSpec, list[int]] = {}
         for camera_id, spec in enumerate(self.cameras):
-            actor, stream = self._build_camera(camera_id, spec)
-            edge_actors[camera_id] = actor
-            streams[camera_id] = iter(stream)
+            players.setdefault(spec.dataset, []).append(camera_id)
+        videos = {dataset: dataset.build() for dataset in players}
+        streams = {}
+        for dataset, camera_ids in players.items():
+            frames = itertools.tee(videos[dataset], len(camera_ids))
+            streams.update(zip(camera_ids, frames))
+        # seed items are derived once per exact student state, and every
+        # trainer built here starts from the fleet's starting weights
+        replay_seed = None if self.replay_seed is None else ReplaySeed(*self.replay_seed)
+        edge_actors = {
+            camera_id: self._build_camera(
+                camera_id, spec, videos[spec.dataset], replay_seed
+            )
+            for camera_id, spec in enumerate(self.cameras)
+        }
         for region in fed.regions:
             # arm each region's spot-revocation process (no-op without
             # one): scripted traces schedule verbatim, seeded spot

@@ -12,6 +12,7 @@ the input, at the ``conv5_4`` analog, or at the penultimate ``pool`` layer.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,6 +166,21 @@ class StudentDetector:
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         self.model.load_state_dict(state)
+
+    def state_digest(self) -> str:
+        """sha256 over the config, the weights and the normalisation statistics.
+
+        That is everything an eval-mode forward reads, so two students with
+        equal digests compute bit-identical activations.
+        """
+        digest = hashlib.sha256(repr(self.config).encode())
+        for param in self.model.parameters():
+            digest.update(param.data.tobytes())
+        for _, layer in self.model.named_layers():
+            if hasattr(layer, "running_mean"):
+                digest.update(layer.running_mean.tobytes())
+                digest.update(layer.running_var.tobytes())
+        return digest.hexdigest()
 
     def clone(self) -> "StudentDetector":
         """Deep copy (same config, copied weights); used by the AMS baseline."""

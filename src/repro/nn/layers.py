@@ -1,7 +1,10 @@
 """Layer modules with explicit forward/backward passes.
 
-Each :class:`Module` caches whatever it needs from the forward pass and
-consumes it in :meth:`Module.backward`.  Gradients are accumulated into
+Each :class:`Module` caches whatever it needs from a training-mode forward
+pass and consumes it in :meth:`Module.backward`.  An eval-mode forward
+keeps no backward state (and drops any left by an earlier training pass),
+so inference holds no activations alive and a backward after it raises
+like any backward before a forward.  Gradients are accumulated into
 ``Parameter.grad`` and applied by an optimizer from :mod:`repro.nn.optim`.
 
 The design intentionally mirrors a small subset of the PyTorch module API
@@ -200,7 +203,7 @@ class Linear(Module):
             raise ValueError(
                 f"expected input of shape (N, {self.in_features}), got {x.shape}"
             )
-        self._cache_x = x
+        self._cache_x = x if self.training else None
         out = x @ self.weight.data.T
         if self.bias is not None:
             out = out + self.bias.data
@@ -272,8 +275,8 @@ class Conv2d(Module):
         n, _, h, w = x.shape
         out_h, out_w = self.output_shape(h, w)
         cols = F.im2col(x, self.kernel_size, self.kernel_size, self.stride, self.padding)
-        self._cache_cols = cols
-        self._cache_shape = x.shape
+        self._cache_cols = cols if self.training else None
+        self._cache_shape = x.shape if self.training else None
         w_flat = self.weight.data.reshape(self.out_channels, -1)
         out = cols @ w_flat.T
         if self.bias is not None:
@@ -316,8 +319,9 @@ class ReLU(Module):
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        mask = x > 0
+        self._mask = mask if self.training else None
+        return np.where(mask, x, 0.0)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._mask is None:
@@ -336,8 +340,9 @@ class LeakyReLU(Module):
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, self.negative_slope * x)
+        mask = x > 0
+        self._mask = mask if self.training else None
+        return np.where(mask, x, self.negative_slope * x)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._mask is None:
@@ -353,8 +358,9 @@ class Sigmoid(Module):
         self._out: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._out = F.sigmoid(x)
-        return self._out
+        out = F.sigmoid(x)
+        self._out = out if self.training else None
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._out is None:
@@ -370,8 +376,9 @@ class Tanh(Module):
         self._out: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._out = np.tanh(x)
-        return self._out
+        out = np.tanh(x)
+        self._out = out if self.training else None
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._out is None:
@@ -380,7 +387,15 @@ class Tanh(Module):
 
 
 class MaxPool2d(Module):
-    """Max pooling over non-overlapping (or strided) windows of NCHW inputs."""
+    """Max pooling over non-overlapping (or strided) windows of NCHW inputs.
+
+    The forward pass folds the ``kernel_size**2`` strided slices of the
+    input (one per window offset, in row-major ``(ky, kx)`` order) into a
+    running maximum.  A later slice wins only where it is strictly greater,
+    so ties go to the first offset: the element ``argmax`` over an im2col
+    window picks.  Only a training-mode forward records which offset won,
+    for the backward pass.
+    """
 
     def __init__(self, kernel_size: int, stride: int | None = None) -> None:
         super().__init__()
@@ -388,29 +403,46 @@ class MaxPool2d(Module):
             raise ValueError("kernel_size must be positive")
         self.kernel_size = kernel_size
         self.stride = stride if stride is not None else kernel_size
-        self._cache: tuple[np.ndarray, np.ndarray, tuple[int, ...]] | None = None
+        self._cache: tuple[np.ndarray, tuple[int, ...]] | None = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        n, c, h, w = x.shape
+    def _windows(self, h: int, w: int) -> Iterator[tuple[int, slice, slice]]:
+        """(offset index, row slice, column slice) of every window offset."""
         k, s = self.kernel_size, self.stride
         out_h = F.conv_output_size(h, k, s, 0)
         out_w = F.conv_output_size(w, k, s, 0)
-        cols = F.im2col(x.reshape(n * c, 1, h, w), k, k, s, 0)
-        argmax = cols.argmax(axis=1)
-        out = cols[np.arange(cols.shape[0]), argmax]
-        self._cache = (argmax, np.array(cols.shape), x.shape)
-        return out.reshape(n, c, out_h, out_w)
+        for ky in range(k):
+            for kx in range(k):
+                rows = slice(ky, ky + s * out_h, s)
+                cols = slice(kx, kx + s * out_w, s)
+                yield ky * k + kx, rows, cols
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        _, _, h, w = x.shape
+        windows = self._windows(h, w)
+        _, rows, cols = next(windows)
+        out = x[:, :, rows, cols]
+        argmax = np.zeros(out.shape, dtype=np.intp) if self.training else None
+        for index, rows, cols in windows:
+            window = x[:, :, rows, cols]
+            # strict ">" rather than np.maximum: numpy's vector loops
+            # return either operand on a -0.0/+0.0 tie
+            better = window > out
+            out = np.where(better, window, out)
+            if argmax is not None:
+                argmax[better] = index
+        self._cache = None if argmax is None else (argmax, x.shape)
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        argmax, cols_shape, x_shape = self._cache
-        n, c, h, w = x_shape
-        k, s = self.kernel_size, self.stride
-        grad_cols = np.zeros(tuple(cols_shape), dtype=np.float64)
-        grad_cols[np.arange(grad_cols.shape[0]), argmax] = grad.reshape(-1)
-        dx = F.col2im(grad_cols, (n * c, 1, h, w), k, k, s, 0)
-        return dx.reshape(n, c, h, w)
+        argmax, x_shape = self._cache
+        dx = np.zeros(x_shape, dtype=np.float64)
+        # offsets in the order col2im summed them, so overlapping windows
+        # accumulate to the same bits
+        for index, rows, cols in self._windows(*x_shape[2:]):
+            dx[:, :, rows, cols] += np.where(argmax == index, grad, 0.0)
+        return dx
 
 
 class AvgPool2d(Module):
@@ -430,7 +462,7 @@ class AvgPool2d(Module):
         out_h = F.conv_output_size(h, k, s, 0)
         out_w = F.conv_output_size(w, k, s, 0)
         cols = F.im2col(x.reshape(n * c, 1, h, w), k, k, s, 0)
-        self._x_shape = x.shape
+        self._x_shape = x.shape if self.training else None
         return cols.mean(axis=1).reshape(n, c, out_h, out_w)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -452,7 +484,7 @@ class GlobalAvgPool2d(Module):
         self._x_shape: tuple[int, ...] | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x_shape = x.shape
+        self._x_shape = x.shape if self.training else None
         return x.mean(axis=(2, 3))
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -470,7 +502,7 @@ class Flatten(Module):
         self._x_shape: tuple[int, ...] | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x_shape = x.shape
+        self._x_shape = x.shape if self.training else None
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:

@@ -95,24 +95,18 @@ class _BatchNormBase(Module):
         if self.training:
             out = self._train_forward(flat)
         else:
+            # inference keeps no backward state: a backward after an
+            # eval-mode forward raises like one before any forward
+            self._cache = None
             x_hat = (flat - self.running_mean) / np.sqrt(self.running_var + self.eps)
-            self._cache = {"x_hat": x_hat, "eval": np.array(1.0)}
             out = self.gamma.data * x_hat + self.beta.data
         return self._unflatten(out, original_shape)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        original_shape = grad.shape
-        grad_flat = self._flatten(grad)
-        if "eval" in self._cache:
-            x_hat = self._cache["x_hat"]
-            self.gamma.grad += (grad_flat * x_hat).sum(axis=0)
-            self.beta.grad += grad_flat.sum(axis=0)
-            dx = grad_flat * self.gamma.data / np.sqrt(self.running_var + self.eps)
-            return self._unflatten(dx, original_shape)
-        dx = self._train_backward(grad_flat)
-        return self._unflatten(dx, original_shape)
+        dx = self._train_backward(self._flatten(grad))
+        return self._unflatten(dx, grad.shape)
 
 
 class _BatchNormMixin:

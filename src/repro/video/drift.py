@@ -62,7 +62,12 @@ class DriftSegment:
 
 
 class DriftSchedule:
-    """Piecewise (optionally blended) domain schedule over a frame range."""
+    """Piecewise (optionally blended) domain schedule over a frame range.
+
+    Schedules compare and hash by value (their segments), so two dataset
+    specs built with the same arguments are equal and can share one
+    rendered stream.
+    """
 
     def __init__(self, segments: list[DriftSegment]) -> None:
         if not segments:
@@ -74,6 +79,14 @@ class DriftSchedule:
             self._starts.append(start)
             start += segment.duration
         self._total = start
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DriftSchedule):
+            return NotImplemented
+        return self.segments == other.segments
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.segments))
 
     # -- properties ---------------------------------------------------------
     @property

@@ -21,7 +21,8 @@ class Frame:
 
     Ground truth exists because the stream is synthetic; the system under test
     (the edge device) never reads it — only the evaluation harness and the
-    near-oracle teacher do.
+    near-oracle teacher do.  ``image`` is read-only: cameras playing the
+    same stream share one frame object.
     """
 
     index: int
@@ -119,6 +120,7 @@ class VideoStream:
             domain = self.schedule.domain_at(index)
             ground_truth = self._scene.step(domain)
             image = self._renderer.render(self._scene.objects, domain)
+            image.flags.writeable = False
 
             positions = {
                 obj.object_id: (obj.cx, obj.cy) for obj in self._scene.objects

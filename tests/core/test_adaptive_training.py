@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import AdaptiveTrainer, AdaptiveTrainingConfig
+from repro.core.adaptive_training import ReplaySeed
 from repro.detection import StudentConfig, StudentDetector
 from repro.video import DAY_SUNNY, NIGHT, FrameRenderer, RenderConfig, Scene, SceneConfig
 
@@ -118,6 +119,46 @@ class TestReplayBehaviour:
         trainer = AdaptiveTrainer(student.clone(), small_config(replay_capacity=5), seed=0)
         images, labels = make_batch(DAY_SUNNY, n=8)
         assert trainer.seed_replay(images, labels) == 5
+
+    def test_replay_seed_shares_items_across_equal_students(self, student):
+        images, labels = make_batch(DAY_SUNNY, n=6)
+        seed = ReplaySeed(images, labels)
+        first = AdaptiveTrainer(student.clone(), small_config(), seed=0)
+        second = AdaptiveTrainer(student.clone(), small_config(), seed=1)
+        assert seed.seed(first) == seed.seed(second) == 6
+        # the second trainer stores the first one's items, not a recomputation
+        assert all(a is b for a, b in zip(first.replay.items, second.replay.items))
+        assert not first.replay.items[0].activation.flags.writeable
+        assert not first.replay.items[0].targets.objectness.flags.writeable
+        assert not second.student.model.training
+        # ...and they are exactly what an unshared seeding derives
+        alone = AdaptiveTrainer(student.clone(), small_config(), seed=2)
+        alone.seed_replay(images, labels)
+        for shared, own in zip(first.replay.items, alone.replay.items):
+            assert shared.activation.tobytes() == own.activation.tobytes()
+            assert shared.targets.boxes.tobytes() == own.targets.boxes.tobytes()
+
+    def test_replay_seed_recomputes_for_moved_weights_or_another_layer(self, student):
+        images, labels = make_batch(DAY_SUNNY, n=4)
+        seed = ReplaySeed(images, labels)
+        base = AdaptiveTrainer(student.clone(), small_config(), seed=0)
+        seed.seed(base)
+
+        moved_student = student.clone()
+        moved_student.model["conv1"].weight.data[0, 0, 0, 0] += 0.5
+        moved = AdaptiveTrainer(moved_student, small_config(), seed=0)
+        seed.seed(moved)
+        alone = AdaptiveTrainer(moved_student.clone(), small_config(), seed=0)
+        alone.seed_replay(images, labels)
+        for shared, own, other in zip(
+            moved.replay.items, alone.replay.items, base.replay.items
+        ):
+            assert shared.activation.tobytes() == own.activation.tobytes()
+            assert shared.activation.tobytes() != other.activation.tobytes()
+
+        at_input = AdaptiveTrainer(student.clone(), small_config(replay_layer="input"), seed=0)
+        seed.seed(at_input)
+        assert at_input.replay.items[0].activation.shape == images[0].shape
 
     def test_replay_mitigates_forgetting(self, student):
         """With replay (seeded from the old domain) the old-domain loss stays

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.core import CameraSpec, FleetSession, ShoggothConfig
+from repro.core.actors import EdgeActor
+from repro.core.cluster import CloudCluster
 from repro.detection import StudentConfig, StudentDetector, TeacherConfig, TeacherDetector
+from repro.detection.pretrain import generate_offline_dataset
 from repro.network.link import LinkConfig
-from repro.video import build_dataset
+from repro.video import FrameRenderer, build_dataset
 
 
 def small_config() -> ShoggothConfig:
@@ -147,3 +152,78 @@ class TestFleetSession:
         ).run()
         with pytest.raises(KeyError):
             result.session("missing")
+
+
+#: fingerprint of the 4-camera shared-stream fleet below, recorded before
+#: cameras shared rendered streams and replay-seed items
+SHARED_STREAMS_GOLDEN = "d104c7536e88a553b6ee3c8aa9fc39ec28f084a9b65b5d8c070dd997e665c002"
+
+
+class TestSharedCameraPathWork:
+    def test_equal_specs_render_once_and_keep_the_fingerprint(
+        self, student, teacher, monkeypatch
+    ):
+        replay_seed = generate_offline_dataset(6, seed=3)
+        renders = []
+        render = FrameRenderer.render
+
+        def counting_render(renderer, *args, **kwargs):
+            renders.append(renderer)
+            return render(renderer, *args, **kwargs)
+
+        monkeypatch.setattr(FrameRenderer, "render", counting_render)
+        cameras = [
+            CameraSpec(f"cam{i}", build_dataset(name, num_frames=60), strategy, seed=i)
+            for i, (name, strategy) in enumerate(
+                [
+                    ("detrac", "shoggoth"),
+                    ("kitti", "ams"),
+                    ("detrac", "edge_only"),
+                    ("kitti", "shoggoth"),
+                ]
+            )
+        ]
+        result = FleetSession(
+            cameras,
+            student=student,
+            teacher=teacher,
+            config=small_config(),
+            replay_seed=replay_seed,
+        ).run()
+        # one render per frame per distinct spec, by one renderer per spec
+        assert len(renders) == 2 * 60
+        assert len(set(map(id, renders))) == 2
+        assert result.fingerprint() == SHARED_STREAMS_GOLDEN
+
+
+def test_finished_run_is_freed_without_the_cyclic_gc(student, teacher):
+    """Dropping a run's result frees its actors, clusters and students.
+
+    Reference counting alone must reclaim them: a cycle through any of
+    them would keep every camera's student alive until the cyclic GC
+    happens to run.
+    """
+    cameras = [
+        CameraSpec("shog", build_dataset("detrac", num_frames=60), "shoggoth", seed=0),
+        CameraSpec("ams", build_dataset("kitti", num_frames=60), "ams", seed=1),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        result = FleetSession(
+            cameras, student=student, teacher=teacher, config=small_config()
+        ).run()
+        assert result.num_cameras == 2
+        del result
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        leaked = [
+            type(obj).__name__
+            for obj in gc.garbage
+            if isinstance(obj, (StudentDetector, EdgeActor, CloudCluster))
+        ]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert leaked == []

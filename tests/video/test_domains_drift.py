@@ -120,6 +120,14 @@ class TestDriftSchedule:
         schedule = DriftSchedule.cycle([DAY_SUNNY, DAY_CLOUDY, NIGHT], 50)
         assert schedule.total_frames == 150
 
+    def test_equality_and_hash_follow_segments(self):
+        a = DriftSchedule.cycle([DAY_SUNNY, NIGHT], 50, transition_frames=5)
+        b = DriftSchedule.cycle([DAY_SUNNY, NIGHT], 50, transition_frames=5)
+        assert a == b and hash(a) == hash(b)
+        assert a != DriftSchedule.cycle([DAY_SUNNY, NIGHT], 50)
+        assert a != DriftSchedule.cycle([NIGHT, DAY_SUNNY], 50, transition_frames=5)
+        assert a != "not a schedule"
+
     def test_negative_frame_raises(self):
         schedule = DriftSchedule.constant(DAY_SUNNY, 10)
         with pytest.raises(ValueError):

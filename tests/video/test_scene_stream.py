@@ -159,6 +159,12 @@ class TestVideoStream:
     def test_duration(self):
         assert self.make_stream(60).duration_seconds == pytest.approx(2.0)
 
+    def test_frame_image_is_read_only(self):
+        # cameras playing the same stream share frame objects
+        frame = self.make_stream(5).collect(limit=1)[0]
+        with pytest.raises(ValueError, match="read-only"):
+            frame.image[0, 0, 0] = 0.5
+
 
 class TestDatasets:
     @pytest.mark.parametrize("name", ["detrac", "kitti", "waymo", "stationary"])
@@ -198,6 +204,17 @@ class TestDatasets:
     def test_unknown_dataset_raises(self):
         with pytest.raises(KeyError):
             build_dataset("cityscapes")
+
+    @pytest.mark.parametrize("name", ["detrac", "kitti", "waymo", "stationary"])
+    def test_specs_compare_and_hash_by_value(self, name):
+        a = build_dataset(name, num_frames=120)
+        b = build_dataset(name, num_frames=120)
+        assert a == b and hash(a) == hash(b)
+        assert a.schedule == b.schedule and hash(a.schedule) == hash(b.schedule)
+        assert len({a, b}) == 1
+        other_seed = build_dataset(name, num_frames=120, seed=a.stream_config.seed + 1)
+        assert other_seed != a
+        assert build_dataset(name, num_frames=90) != a
 
 
 class TestH264Encoder:
